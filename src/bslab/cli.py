@@ -140,7 +140,8 @@ def _build_parser() -> _Parser:
     p_mc.add_argument("--paths", type=int, required=True, help="number of sampled paths")
     p_mc.add_argument("--seed", type=int, required=True, help="64-bit stream seed")
     p_mc.add_argument("--batch-size", type=int, default=None,
-                      help="draws materialized per batch (never changes results)")
+                      help="validated (1..paths) but unused: sampling runs in fixed "
+                           "blocks, so it changes neither results nor memory")
 
     p_clt = sub.add_parser("clt-demo", parents=[model, common],
                            help="row-sum normality experiment over an n ladder")
@@ -311,9 +312,9 @@ def _price_report(cfg: RunConfig, result: PriceResult) -> tuple[dict, list[str],
         diagnostics.update(result.detail or {})
         diagnostics.pop("steps", None)
     if cfg.command == "mc":
-        # batch_size is a memory knob that never changes results, so it stays
-        # out of the report: runs that differ only in batching emit identical
-        # bytes
+        # batch_size changes neither results nor memory (the pricer samples
+        # in fixed blocks), so it stays out of the report: runs that differ
+        # only in batching emit identical bytes
         inputs["paths"] = cfg.mc_config.paths
         inputs["seed"] = cfg.mc_config.seed
     report = {"command": cfg.command, "inputs": inputs, "results": results,

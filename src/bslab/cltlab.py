@@ -17,7 +17,7 @@ import numpy as np
 
 from .increments import IncrementModel
 from .normal import norm_cdf
-from .rng import substream
+from .rng import BLOCK, substream
 
 # 1% asymptotic critical value for sqrt(m) * KS statistic
 KS_ONE_PERCENT = 1.628
@@ -27,7 +27,9 @@ KS_ONE_PERCENT = 1.628
 LINDEBERG_DECREASE_RATIO = 0.5
 LINDEBERG_SMALL_FRACTION = 0.1
 
-_CHUNK_ELEMENTS = 4_000_000
+# stream draws sampled per chunk (at least one whole row): rows are never
+# split across chunks, so each row sum is one whole-row reduction
+_CHUNK_ELEMENTS = BLOCK
 
 
 @dataclass(frozen=True)

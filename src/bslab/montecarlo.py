@@ -1,10 +1,12 @@
 """Monte Carlo call pricer under the risk-neutral lognormal law.
 
 Terminal log-returns are sampled with the counter-based streams from
-bslab.rng, so draw i depends only on (seed, i). The payoff array is always
-assembled over the full index range and reduced once, which makes the
-result bit-identical for any batch_size: batches only bound how many draws
-are materialized at a time.
+bslab.rng, so draw i depends only on (seed, i). Paths are processed in
+canonical rng.BLOCK-sized blocks starting at index 0; each block is reduced
+to (count, mean, M2) and the blocks are merged in order with Chan's
+pairwise update. Memory is therefore O(block) for any number of paths, and
+the result is bit-identical for any batch_size: batch_size is still
+accepted and validated, but changes neither the result nor the memory used.
 """
 
 from __future__ import annotations
@@ -16,9 +18,7 @@ import numpy as np
 
 from .pricing import (NormalParams, OptionSpec, PriceResult, _degenerate_d,
                       d_plus_minus, intrinsic_forward_value, risk_neutral_params)
-from .rng import normal_stream
-
-_DEFAULT_BATCH = 65536
+from .rng import BLOCK, normal_stream
 
 
 @dataclass(frozen=True)
@@ -43,17 +43,20 @@ class McConfig:
 
     @property
     def effective_batch_size(self) -> int:
+        """The configured batch size, or min(paths, BLOCK); the pricers
+        always sample in rng.BLOCK blocks whatever this is."""
         if self.batch_size is not None:
             return self.batch_size
-        return min(self.paths, _DEFAULT_BATCH)
+        return min(self.paths, BLOCK)
 
 
-def _terminal_log_returns(params: NormalParams, cfg: McConfig, out: np.ndarray) -> None:
-    batch = cfg.effective_batch_size
-    for lo in range(0, cfg.paths, batch):
-        hi = min(lo + batch, cfg.paths)
-        z = normal_stream(cfg.seed, lo, hi - lo)
-        out[lo:hi] = params.mean + params.std_dev * z
+def _terminal_log_return_blocks(params: NormalParams, cfg: McConfig):
+    """Terminal log-returns for paths [0, cfg.paths), one BLOCK at a time."""
+    for lo in range(0, cfg.paths, BLOCK):
+        z = normal_stream(cfg.seed, lo, min(BLOCK, cfg.paths - lo))
+        z *= params.std_dev
+        z += params.mean
+        yield z
 
 
 def mc_price(spec: OptionSpec, cfg: McConfig) -> PriceResult:
@@ -70,13 +73,28 @@ def mc_price(spec: OptionSpec, cfg: McConfig) -> PriceResult:
                            detail={"paths": cfg.paths, "seed": cfg.seed, "degenerate": True})
 
     params = risk_neutral_params(spec)
-    y = np.empty(cfg.paths)
-    _terminal_log_returns(params, cfg, y)
     disc = math.exp(-spec.rate * spec.expiry)
-    payoff = disc * np.maximum(spec.spot * np.exp(y) - spec.strike, 0.0)
+    count, mean, m2 = 0, 0.0, 0.0
+    for payoff in _terminal_log_return_blocks(params, cfg):
+        # disc * max(spot * e^y - strike, 0), in place over the block
+        np.exp(payoff, out=payoff)
+        payoff *= spec.spot
+        payoff -= spec.strike
+        np.maximum(payoff, 0.0, out=payoff)
+        payoff *= disc
+        n_b = payoff.size
+        mean_b = float(payoff.mean())
+        payoff -= mean_b
+        m2_b = float(np.square(payoff, out=payoff).sum())
+        # Chan et al.'s pairwise merge of (count, mean, M2)
+        total = count + n_b
+        delta = mean_b - mean
+        mean += delta * n_b / total
+        m2 += m2_b + delta * delta * count * n_b / total
+        count = total
 
-    estimate = float(payoff.mean())
-    std_error = float(payoff.std(ddof=1)) / math.sqrt(cfg.paths)
+    estimate = mean
+    std_error = math.sqrt(m2 / (cfg.paths - 1)) / math.sqrt(cfg.paths)
     dp, dm = d_plus_minus(spec)
     return PriceResult(price=max(estimate, 0.0), d_plus=dp, d_minus=dm,
                        method="monte_carlo", std_error=std_error,
@@ -93,6 +111,9 @@ def mc_forward_check(spec: OptionSpec, cfg: McConfig) -> float:
     if spec.vol_sqrt_t == 0.0:
         return 1.0
     params = risk_neutral_params(spec)
-    y = np.empty(cfg.paths)
-    _terminal_log_returns(params, cfg, y)
-    return float(np.exp(y - spec.rate * spec.expiry).mean())
+    rt = spec.rate * spec.expiry
+    block_sums = []
+    for y in _terminal_log_return_blocks(params, cfg):
+        y -= rt
+        block_sums.append(float(np.exp(y, out=y).sum()))
+    return math.fsum(block_sums) / cfg.paths

@@ -4,7 +4,9 @@ The generator is SplitMix64 evaluated at an arbitrary counter position:
 draw i mixes the state seed + (i+1)*golden_gamma through the 64-bit
 finalizer. Because there is no sequential state, any batch decomposition
 over the index range produces bit-identical draws, which is what makes
-Monte Carlo results independent of batch size or parallelism.
+Monte Carlo results independent of batch size or parallelism. Callers
+therefore sample in fixed BLOCK-sized pieces: the uint64 mixing of a block
+stays in cache, and where the blocks end never changes a value.
 """
 
 from __future__ import annotations
@@ -17,16 +19,22 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _STREAM_SALT = np.uint64(0xD1B54A32D192ED03)
-_U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _INV_2_53 = float(2.0 ** -53)
+_INDEX_LIMIT = 2 ** 64 - 1
+
+# draws per sampling block: a float64 block is 512 KiB, small enough that
+# the mixing temporaries stay in a 2 MiB L2 cache
+BLOCK = 65_536
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
-    x = x ^ (x >> np.uint64(30))
-    x = x * _MIX1
-    x = x ^ (x >> np.uint64(27))
-    x = x * _MIX2
-    return x ^ (x >> np.uint64(31))
+    """SplitMix64 finalizer, applied in place to a uint64 array."""
+    x ^= x >> np.uint64(30)
+    x *= _MIX1
+    x ^= x >> np.uint64(27)
+    x *= _MIX2
+    x ^= x >> np.uint64(31)
+    return x
 
 
 def _check_seed(seed: int) -> np.uint64:
@@ -42,11 +50,19 @@ def uniform_stream(seed: int, start: int, count: int) -> np.ndarray:
     s = _check_seed(seed)
     if start < 0 or count < 0:
         raise ValueError("start and count must be nonnegative")
-    with np.errstate(over="ignore"):
-        idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-        bits = _mix64((s + idx * _GAMMA) & _U64)
+    if start + count > _INDEX_LIMIT:
+        raise ValueError(f"stream indices must stay below 2**64 - 1, got start {start} "
+                         f"and count {count}")
+    bits = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    bits *= _GAMMA
+    bits += s
+    _mix64(bits)
     # top 53 bits, centered in the bin: never exactly 0 or 1
-    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53
+    bits >>= np.uint64(11)
+    u = bits.astype(np.float64)
+    u += 0.5
+    u *= _INV_2_53
+    return u
 
 
 def normal_stream(seed: int, start: int, count: int) -> np.ndarray:
@@ -90,4 +106,4 @@ def substream(seed: int, stream: int) -> int:
         raise ValueError("stream index must be nonnegative")
     with np.errstate(over="ignore"):
         salted = (s + np.uint64(1)) * _STREAM_SALT + np.uint64(stream) * _GAMMA
-        return int(_mix64(np.atleast_1d(salted & _U64))[0])
+        return int(_mix64(np.atleast_1d(salted))[0])

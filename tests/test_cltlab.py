@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,15 @@ class TestSampleRowSum:
         assert np.array_equal(base, sample_row_sum(spec))
         monkeypatch.setattr(cltlab, "_CHUNK_ELEMENTS", 1000)
         assert np.array_equal(base, sample_row_sum(spec))
+
+    def test_memory_stays_within_a_few_blocks(self):
+        tracemalloc.start()
+        try:
+            sample_row_sum(ArraySpec(NORMAL, 1.0, 4096, 5000, 13))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
     def test_cells_share_one_distribution(self):
         # two-sample KS between the first and last cell of each row

@@ -1,9 +1,13 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from bslab.montecarlo import McConfig, mc_forward_check, mc_price
-from bslab.pricing import OptionSpec, bs_call_price, intrinsic_forward_value
+from bslab.pricing import (OptionSpec, bs_call_price, intrinsic_forward_value,
+                           risk_neutral_params)
+from bslab.rng import BLOCK, normal_stream
 
 EXAMPLE = OptionSpec(spot=50.0, strike=52.0, rate=0.04, expiry=1.0, volatility=0.15)
 
@@ -77,3 +81,39 @@ def test_different_seeds_give_different_estimates():
     a = mc_price(EXAMPLE, McConfig(paths=10_000, seed=1))
     b = mc_price(EXAMPLE, McConfig(paths=10_000, seed=2))
     assert a.price != b.price
+
+
+def test_batch_size_never_changes_results_across_block_boundaries():
+    paths = 3 * BLOCK + 17
+    base = mc_price(EXAMPLE, McConfig(paths=paths, seed=3))
+    forward = mc_forward_check(EXAMPLE, McConfig(paths=paths, seed=3))
+    for batch in (1, 77, BLOCK, None):
+        cfg = McConfig(paths=paths, seed=3, batch_size=batch)
+        assert mc_price(EXAMPLE, cfg) == base
+        assert mc_forward_check(EXAMPLE, cfg) == forward
+
+
+def test_block_merge_matches_whole_array_moments():
+    # the same draws reduced in one piece, independently of the block merge
+    paths = 3 * BLOCK + 17
+    params = risk_neutral_params(EXAMPLE)
+    y = params.mean + params.std_dev * normal_stream(3, 0, paths)
+    payoff = math.exp(-EXAMPLE.rate * EXAMPLE.expiry) * \
+        np.maximum(EXAMPLE.spot * np.exp(y) - EXAMPLE.strike, 0.0)
+    result = mc_price(EXAMPLE, McConfig(paths=paths, seed=3))
+    assert result.price == pytest.approx(math.fsum(payoff) / paths, rel=1e-14)
+    assert result.std_error == pytest.approx(payoff.std(ddof=1) / math.sqrt(paths), rel=1e-12)
+    ratio = mc_forward_check(EXAMPLE, McConfig(paths=paths, seed=3))
+    assert ratio == pytest.approx(math.fsum(np.exp(y - EXAMPLE.rate * EXAMPLE.expiry)) / paths,
+                                  rel=1e-15)
+
+
+def test_memory_stays_bounded_in_paths():
+    tracemalloc.start()
+    try:
+        mc_price(EXAMPLE, McConfig(paths=2 ** 22, seed=9))
+        mc_forward_check(EXAMPLE, McConfig(paths=2 ** 22, seed=9))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -78,6 +79,29 @@ def test_inverse_matches_scipy_reference():
     p = np.concatenate([np.geomspace(1e-300, 0.5, 200),
                         1.0 - np.geomspace(1e-16, 0.5, 200)])
     assert np.max(np.abs(norm_cdf_inv(p) - ndtri(p))) <= 1e-9
+
+
+def _exact_quantile(p: float) -> mpmath.mpf:
+    """Root of ncdf(z) = p at 50 digits, by Newton steps from z0."""
+    with mpmath.workdps(50):
+        target = mpmath.mpf(p)
+        z = mpmath.mpf(float(norm_cdf_inv(p)))
+        for _ in range(50):
+            step = (mpmath.ncdf(z) - target) / mpmath.npdf(z)
+            z -= step
+            if abs(step) <= mpmath.mpf(10) ** -40 * max(1, abs(z)):
+                return z
+    raise AssertionError(f"Newton iteration did not converge for p={p!r}")
+
+
+def test_inverse_matches_mpmath_oracle():
+    p = np.concatenate([np.random.default_rng(31).uniform(0.0, 1.0, 200),
+                        np.geomspace(1e-300, 0.5, 200),
+                        1.0 - np.geomspace(1e-16, 0.5, 200)])
+    z = norm_cdf_inv(p)
+    for pi, zi in zip(p, z):
+        exact = _exact_quantile(float(pi))
+        assert abs(zi - exact) <= 2e-15 * max(1.0, abs(exact)), pi
 
 
 def test_inverse_round_trip():

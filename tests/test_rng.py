@@ -76,3 +76,14 @@ def test_substream_derivation():
 def test_seed_validation(bad):
     with pytest.raises(ValueError):
         uniform_stream(bad, 0, 4)
+
+
+def test_index_range_past_two_to_the_64_is_a_value_error():
+    with pytest.raises(ValueError, match="below 2\\*\\*64 - 1"):
+        uniform_stream(1, 2 ** 64 - 2, 5)
+    with pytest.raises(ValueError):
+        normal_stream(1, 2 ** 64 - 2, 5)
+    with pytest.raises(ValueError):
+        poisson_stream(1, 2 ** 64 - 2, 5, 1.0)
+    # the last index whose counter fits in 64 bits still draws
+    assert uniform_stream(1, 2 ** 64 - 2, 1).shape == (1,)
