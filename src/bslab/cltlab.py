@@ -17,7 +17,7 @@ import numpy as np
 
 from .increments import IncrementModel
 from .normal import norm_cdf
-from .rng import BLOCK, substream
+from .rng import BLOCK, check_seed, merge_block, substream
 
 # 1% asymptotic critical value for sqrt(m) * KS statistic
 KS_ONE_PERCENT = 1.628
@@ -32,6 +32,38 @@ LINDEBERG_SMALL_FRACTION = 0.1
 _CHUNK_ELEMENTS = BLOCK
 
 
+def _require_positive(name: str, value: float) -> None:
+    # NaN fails the comparison, so this also rejects non-finite values
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
+def check_ladder(n_ladder, horizon: float, epsilon: float) -> tuple[int, ...]:
+    """Validate a row-size ladder with its horizon and Lindeberg truncation
+    level; returns the ladder as a tuple of ints."""
+    ladder = tuple(int(n) for n in n_ladder)
+    if not ladder:
+        raise ValueError("n_ladder must not be empty")
+    if ladder[0] < 1:
+        raise ValueError(f"ladder entries must be >= 1, got {list(ladder)}")
+    if any(b <= a for a, b in zip(ladder, ladder[1:])):
+        raise ValueError(f"n_ladder must be strictly increasing, got {list(ladder)}")
+    _require_positive("horizon", horizon)
+    _require_positive("epsilon", epsilon)
+    return ladder
+
+
+def check_horizons(horizons) -> tuple[float, ...]:
+    """Validate the horizons of a variance-linearity fit; returns them as a
+    tuple of floats."""
+    ts = tuple(float(t) for t in horizons)
+    if len(set(ts)) < 3:
+        raise ValueError("need at least 3 distinct horizons")
+    for t in ts:
+        _require_positive("horizons", t)
+    return ts
+
+
 @dataclass(frozen=True)
 class ArraySpec:
     """One triangular-array sampling configuration."""
@@ -43,14 +75,12 @@ class ArraySpec:
     seed: int
 
     def __post_init__(self) -> None:
-        if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        _require_positive("horizon", self.horizon)
         if self.rows < 1:
             raise ValueError(f"rows must be >= 1, got {self.rows}")
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -123,24 +153,23 @@ def lindeberg_statistic(model: IncrementModel, n: int, horizon: float, epsilon: 
 
     Under stationarity this single-cell form equals the full row sum of
     truncated second moments. The Monte Carlo estimate always comes back;
-    kinds with closed-form tails also report the analytic value.
+    kinds with closed-form tails also report the analytic value. Draws are
+    reduced in canonical rng.BLOCK blocks from index 0 (as in mc_price), so
+    memory does not grow with samples and the bits never depend on chunking.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    check_ladder((n,), horizon, epsilon)
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
     h = horizon / n
 
-    w = np.empty(samples)
-    for lo in range(0, samples, _CHUNK_ELEMENTS):
-        hi = min(lo + _CHUNK_ELEMENTS, samples)
-        z = model.sample(h, seed, lo, hi - lo)
-        w[lo:hi] = np.where(np.abs(z) > epsilon, z * z, 0.0)
+    acc = (0, 0.0, 0.0)
+    for lo in range(0, samples, BLOCK):
+        z = model.sample(h, seed, lo, min(BLOCK, samples - lo))
+        acc = merge_block(acc, np.where(np.abs(z) > epsilon, z * z, 0.0))
 
-    estimate = n * float(w.mean())
-    std_error = n * float(w.std(ddof=1)) / math.sqrt(samples)
+    _, mean, m2 = acc
+    estimate = n * mean
+    std_error = n * math.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
     tail = model.lindeberg_tail(h, epsilon)
     analytic = None if tail is None else n * tail
     return LindebergResult(estimate=estimate, std_error=std_error, analytic=analytic)
@@ -189,12 +218,7 @@ def variance_linearity_check(model: IncrementModel, horizons, samples: int,
     slope per_unit_variance and intercept 0; standard errors propagate the
     per-horizon variance estimator noise through the fit weights.
     """
-    ts = [float(t) for t in horizons]
-    if len(ts) < 3 or len(set(ts)) < 3:
-        raise ValueError("need at least 3 distinct horizons")
-    if any(t <= 0.0 for t in ts):
-        raise ValueError("horizons must be positive")
-
+    ts = check_horizons(horizons)
     est = [estimate_variance(model, t, samples, substream(seed, k)) for k, t in enumerate(ts)]
     v = np.array([e[0] for e in est])
     se = np.array([e[1] for e in est])
@@ -211,7 +235,7 @@ def variance_linearity_check(model: IncrementModel, horizons, samples: int,
     return VarianceLinearityResult(
         slope=slope, intercept=intercept, max_residual=float(np.max(np.abs(residuals))),
         slope_std_error=slope_se, intercept_std_error=intercept_se,
-        horizons=tuple(ts), variances=tuple(float(x) for x in v),
+        horizons=ts, variances=tuple(float(x) for x in v),
         variance_std_errors=tuple(float(x) for x in se))
 
 
@@ -232,14 +256,7 @@ def run_convergence_experiment(spec: ArraySpec, n_ladder, epsilon: float) -> Con
     inconclusive otherwise. Each ladder entry samples from its own derived
     stream, so the report is a pure function of (spec, n_ladder, epsilon).
     """
-    ladder = [int(n) for n in n_ladder]
-    if len(ladder) < 1:
-        raise ValueError("n_ladder must not be empty")
-    if any(n < 1 for n in ladder):
-        raise ValueError("ladder entries must be >= 1")
-    if any(b <= a for a, b in zip(ladder, ladder[1:])):
-        raise ValueError(f"n_ladder must be strictly increasing, got {ladder}")
-
+    ladder = check_ladder(n_ladder, spec.horizon, epsilon)
     row_variance = spec.model.variance(spec.horizon)
     row_std = math.sqrt(row_variance)
 
@@ -265,6 +282,6 @@ def run_convergence_experiment(spec: ArraySpec, n_ladder, epsilon: float) -> Con
         verdict = "inconclusive"
 
     return ConvergenceReport(
-        n_ladder=tuple(ladder), ks_statistics=tuple(ks_stats),
+        n_ladder=ladder, ks_statistics=tuple(ks_stats),
         lindeberg_values=tuple(lindeberg_vals), max_cell_variance=tuple(cell_vars),
         verdict=verdict, ks_threshold=threshold)

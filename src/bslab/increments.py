@@ -150,7 +150,9 @@ class IncrementModel:
         s = math.sqrt(self.variance(h))
         u = uniform_stream(seed, start, count)
         if self.kind == "two_point":
-            return np.where(u < 0.5, -s, s)
+            # -s below 1/2, +s from 1/2 up (u - 0.5 is +0.0 at exactly 1/2)
+            u -= 0.5
+            return np.copysign(s, u, out=u)
         if self.kind == "uniform":
             return math.sqrt(3.0) * s * (2.0 * u - 1.0)
         if self.kind == "centered_exponential":

@@ -109,28 +109,26 @@ def d_plus_minus(spec: OptionSpec) -> tuple[float, float]:
     return m / s + 0.5 * s, m / s - 0.5 * s
 
 
-def _degenerate_d(spec: OptionSpec) -> float:
-    # limit of d+- as vol*sqrt(t) -> 0, used only to fill diagnostics
-    m = _log_forward_moneyness(spec)
-    if m > 0.0:
-        return math.inf
-    if m < 0.0:
-        return -math.inf
-    return 0.0
-
-
 def intrinsic_forward_value(spec: OptionSpec) -> float:
     """Deterministic-limit price max(spot - strike*e^{-rt}, 0)."""
     return max(spec.spot - spec.strike * math.exp(-spec.rate * spec.expiry), 0.0)
+
+
+def degenerate_result(spec: OptionSpec, method: str, **fields) -> PriceResult:
+    """Every pricer's result when volatility*sqrt(expiry) is zero: the
+    deterministic-limit price, with d+- at their limit (infinite, with the
+    sign of the log forward moneyness, or 0 at the money)."""
+    m = _log_forward_moneyness(spec)
+    d = math.copysign(math.inf, m) if m else 0.0
+    return PriceResult(price=intrinsic_forward_value(spec), d_plus=d, d_minus=d, method=method,
+                       **fields)
 
 
 def bs_call_price(spec: OptionSpec) -> PriceResult:
     """Closed-form call price; degenerates to the deterministic limit when
     volatility*sqrt(expiry) is zero."""
     if spec.vol_sqrt_t == 0.0:
-        d = _degenerate_d(spec)
-        return PriceResult(price=intrinsic_forward_value(spec), d_plus=d, d_minus=d,
-                           method="closed_form")
+        return degenerate_result(spec, "closed_form")
     dp, dm = d_plus_minus(spec)
     raw = (spec.spot * norm_cdf(dp)
            - spec.strike * math.exp(-spec.rate * spec.expiry) * norm_cdf(dm))

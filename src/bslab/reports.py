@@ -27,12 +27,20 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def render_csv(columns: list[str], rows: list[dict]) -> str:
+def render_csv(report: dict) -> str:
+    """One line per report row (one line when there are none). Columns are
+    the scalar inputs, then the row keys, then results, then diagnostics;
+    the scalars repeat on every line and list inputs are left to the rows."""
+    inputs = {k: v for k, v in report["inputs"].items() if not isinstance(v, list)}
+    tail = {**report.get("results", {}), **report.get("diagnostics", {})}
+    rows = report.get("rows", [{}])
+    columns = list(inputs) + list(rows[0]) + list(tail)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([_csv_cell(row.get(col)) for col in columns])
+        flat = {**inputs, **row, **tail}
+        writer.writerow([_csv_cell(flat.get(col)) for col in columns])
     return buf.getvalue()
 
 

@@ -20,6 +20,7 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _STREAM_SALT = np.uint64(0xD1B54A32D192ED03)
 _INV_2_53 = float(2.0 ** -53)
+_BELOW_ONE = 1.0 - _INV_2_53
 _INDEX_LIMIT = 2 ** 64 - 1
 
 # draws per sampling block: a float64 block is 512 KiB, small enough that
@@ -37,7 +38,8 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _check_seed(seed: int) -> np.uint64:
+def check_seed(seed: int) -> np.uint64:
+    """The seed as a uint64; ValueError unless it is an integer in [0, 2**64)."""
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
         raise ValueError(f"seed must be an integer, got {seed!r}")
     if not 0 <= int(seed) < 2 ** 64:
@@ -47,7 +49,7 @@ def _check_seed(seed: int) -> np.uint64:
 
 def uniform_stream(seed: int, start: int, count: int) -> np.ndarray:
     """Uniforms on the open interval (0, 1) for indices start..start+count-1."""
-    s = _check_seed(seed)
+    s = check_seed(seed)
     if start < 0 or count < 0:
         raise ValueError("start and count must be nonnegative")
     if start + count > _INDEX_LIMIT:
@@ -57,12 +59,26 @@ def uniform_stream(seed: int, start: int, count: int) -> np.ndarray:
     bits *= _GAMMA
     bits += s
     _mix64(bits)
-    # top 53 bits, centered in the bin: never exactly 0 or 1
+    # top 53 bits, centered in the bin; the top bin's center 1 - 2**-54
+    # rounds up to 1.0, so it is clamped to the largest double below 1
     bits >>= np.uint64(11)
     u = bits.astype(np.float64)
     u += 0.5
     u *= _INV_2_53
-    return u
+    return np.minimum(u, _BELOW_ONE, out=u)
+
+
+def merge_block(acc: tuple[int, float, float], block: np.ndarray) -> tuple[int, float, float]:
+    """Fold one block of values into a running (count, mean, M2) with Chan
+    et al.'s pairwise update. The block is overwritten."""
+    count, mean, m2 = acc
+    n_b = block.size
+    mean_b = float(block.mean())
+    block -= mean_b
+    m2_b = float(np.square(block, out=block).sum())
+    total = count + n_b
+    delta = mean_b - mean
+    return total, mean + delta * n_b / total, m2 + m2_b + delta * delta * count * n_b / total
 
 
 def normal_stream(seed: int, start: int, count: int) -> np.ndarray:
@@ -101,7 +117,7 @@ def poisson_stream(seed: int, start: int, count: int, mean: float) -> np.ndarray
 
 def substream(seed: int, stream: int) -> int:
     """Derive an independent stream seed from (seed, stream index)."""
-    s = _check_seed(seed)
+    s = check_seed(seed)
     if stream < 0:
         raise ValueError("stream index must be nonnegative")
     with np.errstate(over="ignore"):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .pricing import OptionSpec, PriceResult, _degenerate_d, d_plus_minus, intrinsic_forward_value
+from .pricing import OptionSpec, PriceResult, d_plus_minus, degenerate_result
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,7 @@ def crr_tree_price(spec: OptionSpec, cfg: TreeConfig) -> PriceResult:
     """
     n = cfg.steps
     if spec.vol_sqrt_t == 0.0:
-        d_lim = _degenerate_d(spec)
-        return PriceResult(price=intrinsic_forward_value(spec), d_plus=d_lim, d_minus=d_lim,
-                           method="tree", detail={"steps": n, "degenerate": True})
+        return degenerate_result(spec, "tree", detail={"steps": n, "degenerate": True})
 
     dt = spec.expiry / n
     step_vol = spec.volatility * math.sqrt(dt)

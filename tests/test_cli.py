@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -37,7 +40,7 @@ class TestParseArgs:
             assert command in message
 
     def test_mc_round_trips_through_argv(self):
-        cfg = parse_args(MC_ARGS + ["--batch-size", "1024", "--format", "json"])
+        cfg = parse_args(MC_ARGS + ["--format", "json"])
         assert parse_args(cfg.to_argv()) == cfg
 
     def test_ladder_commands_round_trip(self):
@@ -204,8 +207,6 @@ class TestExecute:
         _, first = run_cli(MC_ARGS + ["--format", "json"])
         _, second = run_cli(MC_ARGS + ["--format", "json"])
         assert first == second
-        _, rebatched = run_cli(MC_ARGS + ["--batch-size", "123", "--format", "json"])
-        assert rebatched == first
 
     def test_output_file_matches_stdout(self, tmp_path):
         path = tmp_path / "report.json"
@@ -235,3 +236,41 @@ class TestExecute:
                                           "intercept_std_error", "max_residual"}
         assert report["results"]["slope"] == pytest.approx(0.0225, abs=0.005)
         assert len(report["rows"]) == 4
+
+
+class TestCommandTable:
+    def test_batch_size_flag_is_gone(self, capsys):
+        assert main(MC_ARGS + ["--batch-size", "123"]) == 1
+        assert "--batch-size" in capsys.readouterr().err
+
+    def test_bad_domain_input_exits_one_at_parse_time(self):
+        for argv in (MC_ARGS[:-1] + ["-1"],
+                     ["clt-demo", "--model", "normal", "--variance", "1", "--samples", "200",
+                      "--seed", "1", "--epsilon", "nan"],
+                     ["lindeberg", "--model", "normal", "--variance", "1", "--samples", "200",
+                      "--seed", "1", "--horizon", "inf"],
+                     ["clt-demo", "--model", "normal", "--variance", "1", "--samples", "200",
+                      "--seed", "1", "--n-ladder", "16,x"],
+                     ["var-linearity", "--model", "normal", "--variance", "1", "--samples",
+                      "200", "--seed", "1", "--horizons", "1,2,nan"]):
+            with pytest.raises(UsageError):
+                parse_args(argv)
+
+    def test_run_steps_see_rebound_module_functions(self, monkeypatch):
+        # a tracer rebinds the pricers in bslab.cli; the table must call the new binding
+        import bslab.cli as cli
+        calls = []
+        original = cli.mc_price
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cli, "mc_price", counting)
+        code, _ = run_cli(MC_ARGS)
+        assert code == 0 and len(calls) == 1
+
+    def test_import_does_not_load_scipy_integrate(self):
+        code = "import sys, bslab.cli; assert 'scipy.integrate' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})

@@ -10,7 +10,7 @@ from bslab.cltlab import (ArraySpec, ConvergenceReport, estimate_variance, ks_no
                           lindeberg_statistic, max_cell_variance, run_convergence_experiment,
                           sample_row_sum, variance_linearity_check)
 from bslab.increments import IncrementModel
-from bslab.rng import substream
+from bslab.rng import BLOCK, substream
 
 TWO_POINT = IncrementModel.two_point(0.0225)
 NORMAL = IncrementModel.normal(0.0225)
@@ -31,6 +31,12 @@ class TestSampleRowSum:
             ArraySpec(TWO_POINT, 1.0, 4, 0, 1)
         with pytest.raises(ValueError):
             ArraySpec(TWO_POINT, 1.0, 4, 10, -1)
+
+    def test_seed_must_be_an_integer(self):
+        with pytest.raises(ValueError):
+            ArraySpec(TWO_POINT, 1.0, 4, 10, 1.5)
+        with pytest.raises(ValueError):
+            ArraySpec(TWO_POINT, 1.0, 4, 10, 2 ** 64)
 
     def test_single_row_two_point_support(self):
         sums = sample_row_sum(ArraySpec(TWO_POINT, 1.0, 1, 2000, 5))
@@ -134,6 +140,33 @@ class TestLindebergStatistic:
             lindeberg_statistic(NORMAL, 4, 1.0, 0.0, 100, 1)
         with pytest.raises(ValueError):
             lindeberg_statistic(NORMAL, 4, 1.0, 0.01, 1, 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_horizon_and_epsilon_are_rejected(self, bad):
+        uniform = IncrementModel.uniform(0.0225)
+        with pytest.raises(ValueError, match="horizon"):
+            lindeberg_statistic(uniform, 16, bad, 0.01, 1000, 5)
+        with pytest.raises(ValueError, match="epsilon"):
+            lindeberg_statistic(uniform, 16, 1.0, bad, 1000, 5)
+
+    def test_block_moments_match_one_piece_reduction(self):
+        # the same draws reduced in one piece, across several block boundaries
+        uniform = IncrementModel.uniform(0.0225)
+        samples = 3 * BLOCK + 17
+        z = uniform.sample(1.0 / 16, 5, 0, samples)
+        w = np.where(np.abs(z) > 0.01, z * z, 0.0)
+        res = lindeberg_statistic(uniform, 16, 1.0, 0.01, samples, 5)
+        assert res.estimate == pytest.approx(16 * math.fsum(w) / samples, rel=1e-13)
+        assert res.std_error == pytest.approx(16 * w.std(ddof=1) / math.sqrt(samples), rel=1e-12)
+
+    def test_memory_does_not_grow_with_samples(self):
+        tracemalloc.start()
+        try:
+            lindeberg_statistic(IncrementModel.uniform(0.0225), 16, 1.0, 0.01, 4_000_000, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 class TestKsNormalTest:

@@ -89,6 +89,17 @@ def test_two_point_support_is_exactly_two_values():
     assert set(np.unique(z)) == {-s, s}
 
 
+def test_two_point_signs_follow_the_uniform_halves(monkeypatch):
+    # -s strictly below 1/2 and +s from 1/2 up, the uniform 1/2 included
+    import bslab.increments as increments
+    u = np.array([2.0 ** -53, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 1 - 2.0 ** -53])
+    monkeypatch.setattr(increments, "uniform_stream", lambda seed, start, count: u.copy())
+    s = math.sqrt(0.0225 * 0.5)
+    z = IncrementModel.two_point(0.0225).sample(0.5, 8, 0, u.size)
+    assert np.array_equal(z, np.where(u < 0.5, -s, s))
+    assert list(np.signbit(z)) == [True, True, False, False, False]
+
+
 def test_poisson_sampler_matches_reference_pmf():
     model = IncrementModel.poisson_jump(1.0, 2.0)
     h = 1.0 / 16

@@ -22,11 +22,6 @@ def test_config_validation():
         McConfig(paths=1, seed=0)
     with pytest.raises(ValueError):
         McConfig(paths=100, seed=-1)
-    with pytest.raises(ValueError):
-        McConfig(paths=100, seed=0, batch_size=0)
-    with pytest.raises(ValueError):
-        McConfig(paths=100, seed=0, batch_size=101)
-    assert McConfig(paths=100, seed=0).effective_batch_size == 100
 
 
 def test_zero_volatility_is_exact():
@@ -69,28 +64,10 @@ def test_same_seed_reproduces_identical_results():
     assert a == b
 
 
-def test_batch_size_never_changes_results():
-    base = mc_price(EXAMPLE, McConfig(paths=10_000, seed=3))
-    for batch in (1, 77, 1000, 10_000):
-        other = mc_price(EXAMPLE, McConfig(paths=10_000, seed=3, batch_size=batch))
-        assert other.price == base.price
-        assert other.std_error == base.std_error
-
-
 def test_different_seeds_give_different_estimates():
     a = mc_price(EXAMPLE, McConfig(paths=10_000, seed=1))
     b = mc_price(EXAMPLE, McConfig(paths=10_000, seed=2))
     assert a.price != b.price
-
-
-def test_batch_size_never_changes_results_across_block_boundaries():
-    paths = 3 * BLOCK + 17
-    base = mc_price(EXAMPLE, McConfig(paths=paths, seed=3))
-    forward = mc_forward_check(EXAMPLE, McConfig(paths=paths, seed=3))
-    for batch in (1, 77, BLOCK, None):
-        cfg = McConfig(paths=paths, seed=3, batch_size=batch)
-        assert mc_price(EXAMPLE, cfg) == base
-        assert mc_forward_check(EXAMPLE, cfg) == forward
 
 
 def test_block_merge_matches_whole_array_moments():

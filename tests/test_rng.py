@@ -87,3 +87,11 @@ def test_index_range_past_two_to_the_64_is_a_value_error():
         poisson_stream(1, 2 ** 64 - 2, 5, 1.0)
     # the last index whose counter fits in 64 bits still draws
     assert uniform_stream(1, 2 ** 64 - 2, 1).shape == (1,)
+
+
+def test_top_bin_draw_stays_below_one():
+    # this index draws the top 53-bit bin, whose center rounds up to 1.0
+    u = uniform_stream(0, 8454462832853231295, 1)
+    assert u[0] < 1.0
+    assert u[0] == 1.0 - 2.0 ** -53
+    assert np.isfinite(normal_stream(0, 8454462832853231295, 1)).all()
