@@ -6,7 +6,10 @@ PATH; a config file holds flat key=value lines (using the long option
 names, '#' starts a comment) and explicit command-line flags win over it.
 
 Each subcommand is one COMMANDS entry: flag groups, a build step making
-its domain objects and a run step returning its report.
+its domain objects and a run step returning its report. Steps import the
+domain modules they use when they run, so `price` loads neither numpy nor
+scipy, and call the pricers and experiments through those modules, so a
+tracer that rebinds a function in its home module sees every call.
 
 Exit codes: 0 success, 1 usage error, 2 numerical/convergence error.
 """
@@ -17,15 +20,16 @@ import argparse
 import sys
 from collections import namedtuple
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .cltlab import (ArraySpec, check_horizons, check_ladder, lindeberg_statistic,
-                     run_convergence_experiment, variance_linearity_check)
-from .increments import KINDS, IncrementModel
-from .montecarlo import McConfig, mc_price
-from .pricing import OptionSpec, PriceResult, bs_call_price
+from . import pricing
 from .reports import render_csv, render_json, render_text
-from .rng import substream
-from .tree import TreeConfig, crr_tree_price
+
+if TYPE_CHECKING:
+    from .cltlab import ArraySpec
+    from .increments import IncrementModel
+    from .montecarlo import McConfig
+    from .tree import TreeConfig
 
 FORMATS = {"json": render_json, "csv": render_csv, "text": render_text}
 
@@ -43,7 +47,7 @@ class RunConfig:
     flags: dict
     output_format: str = "text"
     output_path: str | None = None
-    option_spec: OptionSpec | None = None
+    option_spec: pricing.OptionSpec | None = None
     tree_config: TreeConfig | None = None
     mc_config: McConfig | None = None
     array_spec: ArraySpec | None = None
@@ -78,7 +82,8 @@ _OPTION = (
 _PATHS = (("--paths", dict(type=int, required=True, help="number of sampled paths")), _SEED)
 _STEPS = (("--steps", dict(type=int, required=True, help="number of tree steps")),)
 _MODEL = (
-    ("--model", dict(choices=KINDS, required=True, help="increment family")),
+    ("--model", dict(required=True, metavar="KIND",
+                     help="increment family (an unknown KIND is reported with the valid ones)")),
     ("--variance", dict(type=float, help="per-unit-time variance (not for poisson_jump)")),
     ("--jump-size", dict(type=float, help="fixed jump size (poisson_jump only)")),
     ("--intensity", dict(type=float, help="jump intensity per unit time (poisson_jump only)")),
@@ -102,34 +107,51 @@ _COMMON = (
 
 # build steps: parsed flags -> RunConfig fields
 def _build_option(a) -> dict:
-    return {"option_spec": OptionSpec(spot=a.spot, strike=a.strike, rate=a.rate,
-                                      expiry=a.expiry, volatility=a.vol)}
+    return {"option_spec": pricing.OptionSpec(spot=a.spot, strike=a.strike, rate=a.rate,
+                                              expiry=a.expiry, volatility=a.vol)}
+
+
+def _build_mc(a) -> dict:
+    from . import montecarlo
+    return {**_build_option(a), "mc_config": montecarlo.McConfig(a.paths, a.seed)}
+
+
+def _build_tree(a) -> dict:
+    from . import tree
+    return {**_build_option(a), "tree_config": tree.TreeConfig(a.steps)}
 
 
 def _build_model(a) -> IncrementModel:
+    from .increments import KINDS, IncrementModel
     if a.model == "poisson_jump":
         if a.variance is not None or a.jump_size is None or a.intensity is None:
             raise UsageError("poisson_jump takes --jump-size and --intensity, not --variance")
         return IncrementModel.poisson_jump(a.jump_size, a.intensity)
-    if a.variance is None:
+    if a.variance is None and a.model in KINDS:
         raise UsageError(f"{a.model} requires --variance")
+    # IncrementModel rejects an unknown kind, naming the valid ones
     return IncrementModel(a.model, a.variance, a.jump_size, a.intensity)
 
 
-def _build_ladder(a) -> dict:
-    return {"array_spec": ArraySpec(_build_model(a), a.horizon, 1, a.samples, a.seed),
-            "n_ladder": check_ladder(a.n_ladder.split(","), a.horizon, a.epsilon),
+def _build_ladder(a, ks: bool) -> dict:
+    # clt-demo runs a KS test on its row sums; lindeberg needs only a variance
+    from . import cltlab
+    cltlab.check_samples(a.samples, cltlab.KS_MIN_SAMPLES if ks else cltlab.VARIANCE_MIN_SAMPLES)
+    return {"array_spec": cltlab.ArraySpec(_build_model(a), a.horizon, 1, a.samples, a.seed),
+            "n_ladder": cltlab.check_ladder(a.n_ladder.split(","), a.horizon, a.epsilon),
             "epsilon": a.epsilon}
 
 
 def _build_var_linearity(a) -> dict:
+    from . import cltlab
+    cltlab.check_samples(a.samples, cltlab.VARIANCE_MIN_SAMPLES)
     # a unit-horizon spec carries model, samples and seed; the fit uses --horizons
-    return {"array_spec": ArraySpec(_build_model(a), 1.0, 1, a.samples, a.seed),
-            "horizons": check_horizons(a.horizons.split(","))}
+    return {"array_spec": cltlab.ArraySpec(_build_model(a), 1.0, 1, a.samples, a.seed),
+            "horizons": cltlab.check_horizons(a.horizons.split(","))}
 
 
 # run steps: RunConfig -> report sections (inputs, results, diagnostics, rows)
-def _price_report(spec: OptionSpec, result: PriceResult, **inputs) -> dict:
+def _price_report(spec: pricing.OptionSpec, result: pricing.PriceResult, **inputs) -> dict:
     results = {"price": result.price, "d_plus": result.d_plus, "d_minus": result.d_minus}
     if result.std_error is not None:
         results["std_error"] = result.std_error
@@ -138,8 +160,15 @@ def _price_report(spec: OptionSpec, result: PriceResult, **inputs) -> dict:
             "results": results, "diagnostics": {"method": result.method}}
 
 
+def _mc_report(cfg: RunConfig) -> dict:
+    from . import montecarlo
+    return _price_report(cfg.option_spec, montecarlo.mc_price(cfg.option_spec, cfg.mc_config),
+                         paths=cfg.mc_config.paths, seed=cfg.mc_config.seed)
+
+
 def _tree_report(cfg: RunConfig) -> dict:
-    result = crr_tree_price(cfg.option_spec, cfg.tree_config)
+    from . import tree
+    result = tree.crr_tree_price(cfg.option_spec, cfg.tree_config)
     report = _price_report(cfg.option_spec, result, steps=cfg.tree_config.steps)
     report["diagnostics"].update((k, v) for k, v in result.detail.items() if k != "steps")
     return report
@@ -159,7 +188,8 @@ def _model_inputs(cfg: RunConfig) -> dict:
 
 
 def _clt_demo_report(cfg: RunConfig) -> dict:
-    rep = run_convergence_experiment(cfg.array_spec, cfg.n_ladder, cfg.epsilon)
+    from . import cltlab
+    rep = cltlab.run_convergence_experiment(cfg.array_spec, cfg.n_ladder, cfg.epsilon)
     rows = [{"n": n, "ks_statistic": ks, "lindeberg": lv, "max_cell_variance": mv}
             for n, ks, lv, mv in zip(rep.n_ladder, rep.ks_statistics,
                                      rep.lindeberg_values, rep.max_cell_variance)]
@@ -168,9 +198,11 @@ def _clt_demo_report(cfg: RunConfig) -> dict:
 
 
 def _lindeberg_report(cfg: RunConfig) -> dict:
+    from . import cltlab, rng
     spec = cfg.array_spec
-    stats = [lindeberg_statistic(spec.model, n, spec.horizon, cfg.epsilon, spec.samples,
-                                 substream(spec.seed, k)) for k, n in enumerate(cfg.n_ladder)]
+    stats = [cltlab.lindeberg_statistic(spec.model, n, spec.horizon, cfg.epsilon, spec.samples,
+                                        rng.substream(spec.seed, k))
+             for k, n in enumerate(cfg.n_ladder)]
     rows = [{"n": n, "lindeberg": s.value, "mc_estimate": s.estimate, "mc_std_error": s.std_error}
             for n, s in zip(cfg.n_ladder, stats)]
     source = "monte_carlo" if stats[-1].analytic is None else "analytic"
@@ -179,8 +211,9 @@ def _lindeberg_report(cfg: RunConfig) -> dict:
 
 
 def _var_linearity_report(cfg: RunConfig) -> dict:
+    from . import cltlab
     spec = cfg.array_spec
-    res = variance_linearity_check(spec.model, cfg.horizons, spec.samples, spec.seed)
+    res = cltlab.variance_linearity_check(spec.model, cfg.horizons, spec.samples, spec.seed)
     rows = [{"horizon": t, "variance": v, "variance_std_error": se}
             for t, v, se in zip(res.horizons, res.variances, res.variance_std_errors)]
     fit = ("slope", "intercept", "slope_std_error", "intercept_std_error", "max_residual")
@@ -189,23 +222,18 @@ def _var_linearity_report(cfg: RunConfig) -> dict:
 
 
 # One entry per subcommand. Run steps look the pricers and experiments up in
-# this module when they run, so a tracer that rebinds those names sees them.
+# their home modules when they run, so a tracer that rebinds them sees them.
 Command = namedtuple("Command", "help groups build run")
 COMMANDS = {
     "price": Command("closed-form call price", (_OPTION,), _build_option,
-                     lambda cfg: _price_report(cfg.option_spec, bs_call_price(cfg.option_spec))),
-    "mc": Command("Monte Carlo call price", (_OPTION, _PATHS),
-                  lambda a: {**_build_option(a), "mc_config": McConfig(a.paths, a.seed)},
-                  lambda cfg: _price_report(
-                      cfg.option_spec, mc_price(cfg.option_spec, cfg.mc_config),
-                      paths=cfg.mc_config.paths, seed=cfg.mc_config.seed)),
-    "tree": Command("binomial-tree call price", (_OPTION, _STEPS),
-                    lambda a: {**_build_option(a), "tree_config": TreeConfig(a.steps)},
-                    _tree_report),
+                     lambda cfg: _price_report(cfg.option_spec,
+                                               pricing.bs_call_price(cfg.option_spec))),
+    "mc": Command("Monte Carlo call price", (_OPTION, _PATHS), _build_mc, _mc_report),
+    "tree": Command("binomial-tree call price", (_OPTION, _STEPS), _build_tree, _tree_report),
     "clt-demo": Command("row-sum normality experiment over an n ladder", (_MODEL, _LADDER),
-                        _build_ladder, _clt_demo_report),
+                        lambda a: _build_ladder(a, ks=True), _clt_demo_report),
     "lindeberg": Command("Lindeberg statistic across an n ladder", (_MODEL, _LADDER),
-                         _build_ladder, _lindeberg_report),
+                         lambda a: _build_ladder(a, ks=False), _lindeberg_report),
     "var-linearity": Command("variance-vs-horizon linearity fit", (_MODEL, _HORIZONS),
                              _build_var_linearity, _var_linearity_report),
 }
@@ -275,10 +303,10 @@ def execute(cfg: RunConfig, out=None) -> int:
     """Run a validated config, emit its report, return the exit code."""
     try:
         report = {"command": cfg.command, **COMMANDS[cfg.command].run(cfg)}
+        text = FORMATS[cfg.output_format](report)
     except (ValueError, RuntimeError) as exc:
         print(f"bslab {cfg.command}: {exc}", file=sys.stderr)
         return 2
-    text = FORMATS[cfg.output_format](report)
     if cfg.output_path is not None:
         with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

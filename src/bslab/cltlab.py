@@ -26,6 +26,11 @@ KS_ONE_PERCENT = 1.628
 # variance
 LINDEBERG_DECREASE_RATIO = 0.5
 LINDEBERG_SMALL_FRACTION = 0.1
+# fewest samples an estimator takes: two for a sample variance (the
+# Lindeberg estimate's standard error included), and 100 for the KS test,
+# whose asymptotic threshold is unreliable below that
+VARIANCE_MIN_SAMPLES = 2
+KS_MIN_SAMPLES = 100
 
 # stream draws sampled per chunk (at least one whole row): rows are never
 # split across chunks, so each row sum is one whole-row reduction
@@ -51,6 +56,13 @@ def check_ladder(n_ladder, horizon: float, epsilon: float) -> tuple[int, ...]:
     _require_positive("horizon", horizon)
     _require_positive("epsilon", epsilon)
     return ladder
+
+
+def check_samples(samples: int, minimum: int) -> int:
+    """Validate a sample count against the fewest an estimator takes."""
+    if samples < minimum:
+        raise ValueError(f"samples must be >= {minimum}, got {samples}")
+    return samples
 
 
 def check_horizons(horizons) -> tuple[float, ...]:
@@ -158,8 +170,7 @@ def lindeberg_statistic(model: IncrementModel, n: int, horizon: float, epsilon: 
     memory does not grow with samples and the bits never depend on chunking.
     """
     check_ladder((n,), horizon, epsilon)
-    if samples < 2:
-        raise ValueError(f"samples must be >= 2, got {samples}")
+    check_samples(samples, VARIANCE_MIN_SAMPLES)
     h = horizon / n
 
     acc = (0, 0.0, 0.0)
@@ -179,15 +190,12 @@ def ks_normal_test(samples, mean: float, std_dev: float) -> tuple[float, float]:
     """Kolmogorov-Smirnov statistic of samples against Normal(mean, std_dev^2).
 
     Returns (statistic, threshold) where threshold is the asymptotic 1%
-    critical value 1.628/sqrt(m). Requires at least 100 samples; below that
-    the asymptotic threshold is unreliable.
+    critical value 1.628/sqrt(m). Requires at least KS_MIN_SAMPLES samples.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("samples must be one-dimensional")
-    m = x.size
-    if m < 100:
-        raise ValueError(f"need at least 100 samples for the asymptotic threshold, got {m}")
+    m = check_samples(x.size, KS_MIN_SAMPLES)
     if not (std_dev > 0.0 and math.isfinite(std_dev)):
         raise ValueError(f"std_dev must be positive, got {std_dev}")
 
@@ -203,6 +211,7 @@ def estimate_variance(model: IncrementModel, horizon: float, samples: int, seed:
                       rows: int = 16) -> tuple[float, float]:
     """Sample variance of simulated sums over [0, horizon], with a
     model-free standard error from the empirical fourth central moment."""
+    check_samples(samples, VARIANCE_MIN_SAMPLES)
     sums = sample_row_sum(ArraySpec(model, horizon, rows, samples, seed))
     v = float(sums.var(ddof=1))
     centered = sums - sums.mean()
@@ -257,6 +266,7 @@ def run_convergence_experiment(spec: ArraySpec, n_ladder, epsilon: float) -> Con
     stream, so the report is a pure function of (spec, n_ladder, epsilon).
     """
     ladder = check_ladder(n_ladder, spec.horizon, epsilon)
+    check_samples(spec.samples, KS_MIN_SAMPLES)
     row_variance = spec.model.variance(spec.horizon)
     row_std = math.sqrt(row_variance)
 

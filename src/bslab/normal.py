@@ -8,21 +8,22 @@ scipy.special.ndtri, within a few ulps of the exact quantile (about 1e-15
 relative error; the contract only needs 1e-9 absolute).
 
 All three functions accept a float or a numpy array and return the same
-shape; scalars come back as plain floats.
+shape; scalars come back as plain floats. numpy and scipy.special are
+imported by the paths that use them, so the scalar norm_cdf, which the
+closed-form pricer calls, loads neither.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-from scipy import special
-
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def _as_array(x, name: str) -> np.ndarray:
+    import numpy as np
+
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         shown = repr(x) if arr.ndim == 0 else "a non-finite array entry"
@@ -40,6 +41,8 @@ def norm_cdf(x):
         if not math.isfinite(x):
             raise ValueError(f"norm_cdf requires finite input, got {x!r}")
         return 0.5 * math.erfc(-x / _SQRT2)
+    from scipy import special
+
     arr = _as_array(x, "norm_cdf")
     out = 0.5 * special.erfc(-arr / _SQRT2)
     return float(out) if arr.ndim == 0 else out
@@ -47,6 +50,8 @@ def norm_cdf(x):
 
 def norm_pdf(x):
     """Standard normal density exp(-x^2/2)/sqrt(2*pi); strictly positive."""
+    import numpy as np
+
     arr = _as_array(x, "norm_pdf")
     out = np.exp(-0.5 * arr * arr) * _INV_SQRT_2PI
     return float(out) if arr.ndim == 0 else out
@@ -54,6 +59,9 @@ def norm_pdf(x):
 
 def norm_cdf_inv(p):
     """Inverse of norm_cdf on the open interval (0, 1)."""
+    import numpy as np
+    from scipy import special
+
     arr = np.asarray(p, dtype=np.float64)
     # NaN fails both comparisons, so this also rejects non-finite input
     if arr.size and not (arr.min() > 0.0 and arr.max() < 1.0):

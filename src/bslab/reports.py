@@ -1,7 +1,9 @@
 """Canonical report rendering: JSON, CSV and plain text.
 
 JSON uses sorted keys and Python's shortest round-trip float repr, so
-parsing an emitted report and re-emitting it is byte-identical. CSV uses
+parsing an emitted report and re-emitting it is byte-identical. A NaN, which
+JSON has no form for, is an error; the infinite d+- of a zero-volatility
+price are written as Infinity, which Python's json reads back. CSV uses
 fixed 12-decimal notation with a '.' decimal point; text is for humans and
 carries the same numbers in %.12g.
 """
@@ -11,9 +13,20 @@ from __future__ import annotations
 import io
 import json
 import csv
+import math
+
+
+def _holds_nan(value) -> bool:
+    if isinstance(value, dict):
+        return any(_holds_nan(v) for v in value.values())
+    if isinstance(value, list):
+        return any(_holds_nan(v) for v in value)
+    return isinstance(value, float) and math.isnan(value)
 
 
 def render_json(report: dict) -> str:
+    if _holds_nan(report):
+        raise ValueError("the report holds a NaN, which JSON cannot represent")
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .pricing import OptionSpec, PriceResult, d_plus_minus, degenerate_result
 
@@ -56,6 +55,8 @@ def crr_tree_price(spec: OptionSpec, cfg: TreeConfig) -> PriceResult:
             f"risk-neutral step probability {p:.6g} is outside (0, 1) for "
             f"steps={n}; increase steps until exp(r*t/n) lies between the "
             f"down and up factors")
+
+    from scipy.special import gammaln
 
     k = np.arange(n + 1)
     log_weights = (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)

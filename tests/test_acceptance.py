@@ -147,7 +147,8 @@ def test_clt_positive_two_point():
     report("clt positive result (two_point, 1e5 samples)", ok,
            f"verdict={rep.verdict}, KS(4096)={rep.ks_statistics[-1]:.6f} "
            f"(needs < {threshold:.6f}; distributional floor ~0.0062 from the "
-           f"n=4096 lattice, see decisions ledger), lindeberg={rep.lindeberg_values}")
+           f"n=4096 lattice, see README 'Known-red acceptance criterion'), "
+           f"lindeberg={rep.lindeberg_values}")
 
 
 def test_clt_negative_poisson_jump():

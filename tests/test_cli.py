@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import json
 import math
@@ -9,8 +10,8 @@ import sys
 import pytest
 
 from bslab.cli import RunConfig, UsageError, execute, main, parse_args
-from bslab.increments import IncrementModel
-from bslab.pricing import OptionSpec
+from bslab.increments import KINDS, IncrementModel
+from bslab.pricing import OptionSpec, PriceResult
 
 PRICE_ARGS = ["price", "--spot", "50", "--strike", "52", "--rate", "0.04",
               "--expiry", "1", "--vol", "0.15"]
@@ -257,16 +258,16 @@ class TestCommandTable:
                 parse_args(argv)
 
     def test_run_steps_see_rebound_module_functions(self, monkeypatch):
-        # a tracer rebinds the pricers in bslab.cli; the table must call the new binding
-        import bslab.cli as cli
+        # a tracer rebinds the pricers in their home modules; the table must call the new binding
+        import bslab.montecarlo as montecarlo
         calls = []
-        original = cli.mc_price
+        original = montecarlo.mc_price
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(cli, "mc_price", counting)
+        monkeypatch.setattr(montecarlo, "mc_price", counting)
         code, _ = run_cli(MC_ARGS)
         assert code == 0 and len(calls) == 1
 
@@ -274,3 +275,77 @@ class TestCommandTable:
         code = "import sys, bslab.cli; assert 'scipy.integrate' not in sys.modules"
         subprocess.run([sys.executable, "-c", code], check=True,
                        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+
+    def test_unknown_model_exits_one_and_names_the_kinds(self, capsys):
+        for extra in ([], ["--variance", "1"]):
+            argv = ["clt-demo", "--model", "bogus", "--samples", "200", "--seed", "1"] + extra
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert "bogus" in err and all(kind in err for kind in KINDS)
+
+    def test_too_few_samples_exit_one_at_parse_time(self, capsys):
+        model = ["--model", "normal", "--variance", "1", "--seed", "1"]
+        for argv in (["var-linearity", *model, "--samples", "1"],
+                     ["lindeberg", *model, "--samples", "1"],
+                     ["clt-demo", *model, "--samples", "99"]):
+            with pytest.raises(UsageError, match="samples"):
+                parse_args(argv)
+            assert main(argv) == 1
+        assert "samples must be >= 100" in capsys.readouterr().err
+        parse_args(["lindeberg", *model, "--samples", "2"])
+        parse_args(["clt-demo", *model, "--samples", "100"])
+
+    def test_nan_report_exits_two_instead_of_emitting_json(self, monkeypatch, capsys):
+        import bslab.pricing as pricing
+        nan = PriceResult(price=math.nan, d_plus=0.0, d_minus=0.0, method="closed_form")
+        monkeypatch.setattr(pricing, "bs_call_price", lambda spec: nan)
+        assert main(PRICE_ARGS + ["--format", "json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "NaN" in err
+
+    def test_zero_volatility_json_keeps_infinite_d(self):
+        code, text = run_cli(["price", "--spot", "100", "--strike", "90", "--rate", "0.05",
+                              "--expiry", "1", "--vol", "0", "--format", "json"])
+        report = json.loads(text)
+        assert code == 0 and report["results"]["d_plus"] == math.inf
+
+
+# a probe that fails when numpy or scipy has been imported
+NO_NUMPY_OR_SCIPY = ("import sys\n"
+                     "heavy = [m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')]\n"
+                     "assert not heavy, heavy[:5]\n")
+
+
+def run_python(code):
+    return subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+
+
+class TestLazyImports:
+    def test_import_loads_neither_numpy_nor_scipy(self):
+        run_python("import bslab.cli\n" + NO_NUMPY_OR_SCIPY)
+
+    def test_price_command_loads_neither_numpy_nor_scipy(self):
+        proc = run_python(f"import bslab.cli\nassert bslab.cli.main({PRICE_ARGS!r}) == 0\n"
+                          + NO_NUMPY_OR_SCIPY)
+        assert "price = 3.00761494346" in proc.stdout
+
+    def test_exports_are_their_home_module_objects(self):
+        import bslab
+        for name in bslab.__all__:
+            value = getattr(bslab, name)
+            assert value is getattr(importlib.import_module(value.__module__), name), name
+            # kept in the package namespace, so the next lookup is a plain read
+            assert vars(bslab)[name] is value, name
+
+    def test_star_import_and_unknown_names(self):
+        import bslab
+        namespace = {}
+        exec("from bslab import *", namespace)
+        assert set(bslab.__all__) <= set(namespace)
+        assert bslab.__version__ == "0.1.0" and set(bslab.__all__) <= set(dir(bslab))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            bslab.no_such_name
+
+    def test_submodules_are_package_attributes(self):
+        run_python("import bslab\nassert bslab.montecarlo.mc_price is bslab.mc_price\n")

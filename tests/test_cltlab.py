@@ -225,6 +225,14 @@ class TestVarianceLinearity:
         tol = 3.0 * math.sqrt(se_full ** 2 + se_a ** 2 + se_b ** 2)
         assert abs(v_full - (v_a + v_b)) <= tol
 
+    def test_one_sample_has_no_variance(self):
+        # var(ddof=1) of one row sum is NaN; the estimator refuses it up front
+        with pytest.raises(ValueError, match="samples must be >= 2"):
+            estimate_variance(NORMAL, 1.0, 1, 7)
+        with pytest.raises(ValueError, match="samples must be >= 2"):
+            variance_linearity_check(NORMAL, [0.25, 0.5, 1.0], 1, 7)
+        assert all(math.isfinite(v) for v in estimate_variance(NORMAL, 1.0, 2, 7))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             variance_linearity_check(NORMAL, [1.0, 2.0], 100, 1)
@@ -271,6 +279,15 @@ class TestConvergenceExperiment:
         b = run_convergence_experiment(spec, [4, 16], 0.01)
         assert a == b
         assert isinstance(a, ConvergenceReport)
+
+    def test_too_few_samples_fail_before_sampling(self, monkeypatch):
+        def no_sampling(spec):
+            raise AssertionError("sampled before checking the sample count")
+
+        monkeypatch.setattr(cltlab, "sample_row_sum", no_sampling)
+        spec = ArraySpec(NORMAL, 1.0, 1, cltlab.KS_MIN_SAMPLES - 1, 1)
+        with pytest.raises(ValueError, match="samples must be >= 100"):
+            run_convergence_experiment(spec, [16, 256], 0.01)
 
     def test_ladder_validation(self):
         spec = ArraySpec(NORMAL, 1.0, 1, 200, 1)
