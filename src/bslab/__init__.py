@@ -4,8 +4,8 @@ central-limit-theorem convergence experiments.
 Submodules load on first use: `bslab.bs_call_price` imports only
 bslab.pricing, which needs nothing beyond `math`, while the tree, Monte
 Carlo and CLT names bring in numpy and scipy.special when first asked for.
-bslab.quadrature, the tests' independent oracle, is not exported: it pulls
-in scipy.integrate, which no pricer or experiment needs."""
+The adaptive-quadrature oracle that cross-checks the closed forms lives with
+the tests (tests/quadrature.py), so the package never needs scipy.integrate."""
 
 import importlib
 

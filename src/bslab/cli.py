@@ -308,8 +308,13 @@ def execute(cfg: RunConfig, out=None) -> int:
         print(f"bslab {cfg.command}: {exc}", file=sys.stderr)
         return 2
     if cfg.output_path is not None:
-        with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"bslab {cfg.command}: cannot write output file {cfg.output_path}: {exc}",
+                  file=sys.stderr)
+            return 1
     else:
         (out or sys.stdout).write(text)
     return 0

@@ -17,7 +17,7 @@ import numpy as np
 
 from .increments import IncrementModel
 from .normal import norm_cdf
-from .rng import BLOCK, check_seed, merge_block, substream
+from .rng import BLOCK, block_moments, check_seed, map_blocks, merge_moments, substream
 
 # 1% asymptotic critical value for sqrt(m) * KS statistic
 KS_ONE_PERCENT = 1.628
@@ -139,15 +139,21 @@ def sample_row_sum(spec: ArraySpec) -> np.ndarray:
 
     Sample j consumes stream indices [j*rows, (j+1)*rows), so the output is
     a pure function of spec (seed included) no matter how sampling is
-    chunked internally.
+    chunked internally. Chunks of whole rows run on the calling thread plus
+    one helper when a second CPU is available (rng.map_blocks), each writing
+    its own slice of the output, so the bits are the same either way.
     """
     h = spec.horizon / spec.rows
     out = np.empty(spec.samples)
     rows_per_chunk = max(1, _CHUNK_ELEMENTS // spec.rows)
-    for j0 in range(0, spec.samples, rows_per_chunk):
+
+    def fill(j0: int) -> None:
         j1 = min(j0 + rows_per_chunk, spec.samples)
         draws = spec.model.sample(h, spec.seed, j0 * spec.rows, (j1 - j0) * spec.rows)
         out[j0:j1] = draws.reshape(j1 - j0, spec.rows).sum(axis=1)
+
+    for _ in map_blocks(fill, range(0, spec.samples, rows_per_chunk)):
+        pass
     return out
 
 
@@ -167,16 +173,20 @@ def lindeberg_statistic(model: IncrementModel, n: int, horizon: float, epsilon: 
     truncated second moments. The Monte Carlo estimate always comes back;
     kinds with closed-form tails also report the analytic value. Draws are
     reduced in canonical rng.BLOCK blocks from index 0 (as in mc_price), so
-    memory does not grow with samples and the bits never depend on chunking.
+    memory does not grow with samples and the bits never depend on chunking
+    or on whether rng.map_blocks runs the blocks on one thread or two.
     """
     check_ladder((n,), horizon, epsilon)
     check_samples(samples, VARIANCE_MIN_SAMPLES)
     h = horizon / n
 
-    acc = (0, 0.0, 0.0)
-    for lo in range(0, samples, BLOCK):
+    def tail_moments(lo: int) -> tuple[int, float, float]:
         z = model.sample(h, seed, lo, min(BLOCK, samples - lo))
-        acc = merge_block(acc, np.where(np.abs(z) > epsilon, z * z, 0.0))
+        return block_moments(np.where(np.abs(z) > epsilon, z * z, 0.0))
+
+    acc = (0, 0.0, 0.0)
+    for part in map_blocks(tail_moments, range(0, samples, BLOCK)):
+        acc = merge_moments(acc, part)
 
     _, mean, m2 = acc
     estimate = n * mean

@@ -5,6 +5,9 @@ bslab.rng, so draw i depends only on (seed, i). Paths are processed in
 canonical rng.BLOCK-sized blocks starting at index 0; each block is reduced
 to (count, mean, M2) and the blocks are merged in order with Chan's
 pairwise update. Memory is therefore O(block) for any number of paths.
+Blocks run on the calling thread plus one helper when a second CPU is
+available (rng.map_blocks); the merge is in block order either way, so the
+results are bit-identical.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 
 from .pricing import (NormalParams, OptionSpec, PriceResult, d_plus_minus, degenerate_result,
                       risk_neutral_params)
-from .rng import BLOCK, check_seed, merge_block, normal_stream
+from .rng import BLOCK, block_moments, check_seed, map_blocks, merge_moments, normal_stream
 
 
 @dataclass(frozen=True)
@@ -32,13 +35,12 @@ class McConfig:
         check_seed(self.seed)
 
 
-def _terminal_log_return_blocks(params: NormalParams, cfg: McConfig):
-    """Terminal log-returns for paths [0, cfg.paths), one BLOCK at a time."""
-    for lo in range(0, cfg.paths, BLOCK):
-        z = normal_stream(cfg.seed, lo, min(BLOCK, cfg.paths - lo))
-        z *= params.std_dev
-        z += params.mean
-        yield z
+def _terminal_log_returns(params: NormalParams, cfg: McConfig, lo: int) -> np.ndarray:
+    """Terminal log-returns for the block of paths starting at lo."""
+    z = normal_stream(cfg.seed, lo, min(BLOCK, cfg.paths - lo))
+    z *= params.std_dev
+    z += params.mean
+    return z
 
 
 def mc_price(spec: OptionSpec, cfg: McConfig) -> PriceResult:
@@ -54,15 +56,20 @@ def mc_price(spec: OptionSpec, cfg: McConfig) -> PriceResult:
 
     params = risk_neutral_params(spec)
     disc = math.exp(-spec.rate * spec.expiry)
-    acc = (0, 0.0, 0.0)
-    for payoff in _terminal_log_return_blocks(params, cfg):
+
+    def payoff_moments(lo: int) -> tuple[int, float, float]:
         # disc * max(spot * e^y - strike, 0), in place over the block
+        payoff = _terminal_log_returns(params, cfg, lo)
         np.exp(payoff, out=payoff)
         payoff *= spec.spot
         payoff -= spec.strike
         np.maximum(payoff, 0.0, out=payoff)
         payoff *= disc
-        acc = merge_block(acc, payoff)
+        return block_moments(payoff)
+
+    acc = (0, 0.0, 0.0)
+    for part in map_blocks(payoff_moments, range(0, cfg.paths, BLOCK)):
+        acc = merge_moments(acc, part)
 
     _, estimate, m2 = acc
     std_error = math.sqrt(m2 / (cfg.paths - 1)) / math.sqrt(cfg.paths)
@@ -83,8 +90,10 @@ def mc_forward_check(spec: OptionSpec, cfg: McConfig) -> float:
         return 1.0
     params = risk_neutral_params(spec)
     rt = spec.rate * spec.expiry
-    block_sums = []
-    for y in _terminal_log_return_blocks(params, cfg):
+
+    def growth_sum(lo: int) -> float:
+        y = _terminal_log_returns(params, cfg, lo)
         y -= rt
-        block_sums.append(float(np.exp(y, out=y).sum()))
-    return math.fsum(block_sums) / cfg.paths
+        return float(np.exp(y, out=y).sum())
+
+    return math.fsum(map_blocks(growth_sum, range(0, cfg.paths, BLOCK))) / cfg.paths

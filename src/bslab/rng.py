@@ -7,9 +7,17 @@ over the index range produces bit-identical draws, which is what makes
 Monte Carlo results independent of batch size or parallelism. Callers
 therefore sample in fixed BLOCK-sized pieces: the uint64 mixing of a block
 stays in cache, and where the blocks end never changes a value.
+
+map_blocks runs those pieces on the calling thread plus one helper thread
+when a second CPU is available (numpy and scipy.special release the GIL
+inside their loops) and hands the results back in canonical order, so the
+results are bit-identical to a serial run.
 """
 
 from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -26,6 +34,36 @@ _INDEX_LIMIT = 2 ** 64 - 1
 # draws per sampling block: a float64 block is 512 KiB, small enough that
 # the mixing temporaries stay in a 2 MiB L2 cache
 BLOCK = 65_536
+# whether map_blocks may use its helper thread; False forces the serial path
+USE_HELPER = True
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def map_blocks(fn, starts):
+    """Yield fn(start) for each start, in order.
+
+    The calling thread computes the even-numbered starts and one helper
+    thread the odd-numbered ones, so at most two blocks are in flight; with
+    one usable CPU or fewer than two starts everything runs serially. An
+    exception raised by fn on either thread reaches the caller, and the
+    helper has stopped by the time the generator finishes or is closed.
+    """
+    starts = list(starts)
+    if not USE_HELPER or len(starts) < 2 or _usable_cpus() < 2:
+        yield from map(fn, starts)
+        return
+    with ThreadPoolExecutor(1) as helper:
+        for i in range(0, len(starts), 2):
+            odd = helper.submit(fn, starts[i + 1]) if i + 1 < len(starts) else None
+            yield fn(starts[i])
+            if odd is not None:
+                yield odd.result()
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -68,14 +106,19 @@ def uniform_stream(seed: int, start: int, count: int) -> np.ndarray:
     return np.minimum(u, _BELOW_ONE, out=u)
 
 
-def merge_block(acc: tuple[int, float, float], block: np.ndarray) -> tuple[int, float, float]:
-    """Fold one block of values into a running (count, mean, M2) with Chan
-    et al.'s pairwise update. The block is overwritten."""
-    count, mean, m2 = acc
-    n_b = block.size
+def block_moments(block: np.ndarray) -> tuple[int, float, float]:
+    """(count, mean, M2) of one block of values. The block is overwritten."""
     mean_b = float(block.mean())
     block -= mean_b
-    m2_b = float(np.square(block, out=block).sum())
+    return block.size, mean_b, float(np.square(block, out=block).sum())
+
+
+def merge_moments(acc: tuple[int, float, float],
+                  part: tuple[int, float, float]) -> tuple[int, float, float]:
+    """Fold one block's (count, mean, M2) into a running one with Chan et
+    al.'s pairwise update."""
+    count, mean, m2 = acc
+    n_b, mean_b, m2_b = part
     total = count + n_b
     delta = mean_b - mean
     return total, mean + delta * n_b / total, m2 + m2_b + delta * delta * count * n_b / total

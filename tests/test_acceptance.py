@@ -19,7 +19,7 @@ from bslab.montecarlo import McConfig, mc_forward_check, mc_price
 from bslab.pricing import (OptionSpec, bs_call_price, d_plus_minus, discount,
                            lognormal_call_expectation, lognormal_h_plus_minus,
                            risk_neutral_params, NormalParams)
-from bslab.quadrature import QuadratureSettings, integrate
+from quadrature import QuadratureSettings, integrate
 from bslab.rng import substream
 from bslab.tree import TreeConfig, crr_tree_price
 from test_pricing import quadrature_call_expectation, random_specs

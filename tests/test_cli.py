@@ -216,6 +216,14 @@ class TestExecute:
         assert execute(cfg, out=io.StringIO()) == 0
         assert path.read_text(encoding="utf-8") == stdout_text
 
+    def test_unwritable_output_file_exits_one_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "report.txt"
+        assert main(PRICE_ARGS + ["--output", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"bslab price: cannot write output file {path}")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not path.exists()
+
     def test_numerical_failure_maps_to_exit_two(self, capsys):
         code = main(["tree", "--spot", "50", "--strike", "52", "--rate", "5", "--expiry",
                      "1", "--vol", "0.15", "--steps", "1"])
@@ -329,6 +337,10 @@ class TestLazyImports:
         proc = run_python(f"import bslab.cli\nassert bslab.cli.main({PRICE_ARGS!r}) == 0\n"
                           + NO_NUMPY_OR_SCIPY)
         assert "price = 3.00761494346" in proc.stdout
+
+    def test_import_starts_no_thread(self):
+        run_python("import threading\nimport bslab.cltlab, bslab.montecarlo\n"
+                   "assert threading.active_count() == 1, threading.enumerate()\n")
 
     def test_exports_are_their_home_module_objects(self):
         import bslab

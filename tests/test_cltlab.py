@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 from scipy import stats
 
 import bslab.cltlab as cltlab
+import bslab.rng as rng
 from bslab.cltlab import (ArraySpec, ConvergenceReport, estimate_variance, ks_normal_test,
                           lindeberg_statistic, max_cell_variance, run_convergence_experiment,
                           sample_row_sum, variance_linearity_check)
@@ -15,6 +19,18 @@ from bslab.rng import BLOCK, substream
 TWO_POINT = IncrementModel.two_point(0.0225)
 NORMAL = IncrementModel.normal(0.0225)
 POISSON = IncrementModel.poisson_jump(1.0, 2.0)
+
+KIND_MODELS = [IncrementModel.two_point(0.0225), IncrementModel.uniform(0.0225),
+               IncrementModel.centered_exponential(0.0225), NORMAL, POISSON]
+
+
+def pooled_and_serial(monkeypatch, run):
+    """run() with the helper thread in use (as on two CPUs), then forced serial."""
+    monkeypatch.setattr(rng, "_usable_cpus", lambda: 2)
+    pooled = run()
+    monkeypatch.setattr(rng, "USE_HELPER", False)
+    return pooled, run()
+
 
 # frozen from the analytic jump-tail series (confirmed against scipy's pmf):
 # n * E[Z^2; |Z| > 0.01] for cells of a poisson_jump(1, 2) row over t = 1
@@ -76,6 +92,73 @@ class TestSampleRowSum:
         draws = IncrementModel.uniform(0.0225).sample(h, 2024, 0, 5000 * 8).reshape(5000, 8)
         result = stats.ks_2samp(draws[:, 0], draws[:, 7])
         assert result.pvalue > 0.01
+
+
+class TestHelperThread:
+    """Blocks split between the calling thread and the helper give the
+    serial path's bits."""
+
+    @pytest.mark.parametrize("model", KIND_MODELS, ids=lambda m: m.kind)
+    @pytest.mark.parametrize("samples", [50, 60], ids=["odd_chunks", "even_chunks"])
+    def test_row_sums_match_serial(self, monkeypatch, model, samples):
+        # 10 rows of 64 per chunk: 5 or 6 chunks
+        monkeypatch.setattr(cltlab, "_CHUNK_ELEMENTS", 640)
+        spec = ArraySpec(model, 1.0, 64, samples, 17)
+        pooled, serial = pooled_and_serial(monkeypatch, lambda: sample_row_sum(spec))
+        assert pooled.tobytes() == serial.tobytes()
+
+    def test_rows_wider_than_a_block_match_serial(self, monkeypatch):
+        # one row per chunk, each row longer than a block
+        spec = ArraySpec(IncrementModel.uniform(0.0225), 1.0, BLOCK + 5, 3, 19)
+        pooled, serial = pooled_and_serial(monkeypatch, lambda: sample_row_sum(spec))
+        assert pooled.tobytes() == serial.tobytes()
+
+    @pytest.mark.parametrize("samples", [BLOCK, 2 * BLOCK, 3 * BLOCK, 3 * BLOCK + 17])
+    def test_lindeberg_matches_serial(self, monkeypatch, samples):
+        uniform = IncrementModel.uniform(0.0225)
+        pooled, serial = pooled_and_serial(
+            monkeypatch, lambda: lindeberg_statistic(uniform, 16, 1.0, 0.01, samples, 23))
+        assert repr(pooled) == repr(serial)
+
+    def test_helper_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(rng, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cltlab, "_CHUNK_ELEMENTS", 64)
+        sample = IncrementModel.sample
+        raised_on = []
+
+        def failing_odd_chunk(self, h, seed, start, count):
+            if start // 64 % 2 == 1:
+                raised_on.append(threading.current_thread())
+                raise RuntimeError(f"chunk at {start} failed")
+            return sample(self, h, seed, start, count)
+
+        monkeypatch.setattr(IncrementModel, "sample", failing_odd_chunk)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="chunk at 64 failed"):
+            sample_row_sum(ArraySpec(NORMAL, 1.0, 8, 16, 29))
+        assert raised_on and raised_on[0] is not threading.current_thread()
+        for thread in set(threading.enumerate()) - before:
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+
+    def test_many_small_chunks_under_frequent_switching(self, monkeypatch):
+        # 500 chunks of 4 rows; switch threads as often as the interpreter can
+        monkeypatch.setattr(cltlab, "_CHUNK_ELEMENTS", 16)
+        spec = ArraySpec(IncrementModel.centered_exponential(0.0225), 1.0, 4, 2000, 31)
+        monkeypatch.setattr(rng, "USE_HELPER", False)
+        serial = sample_row_sum(spec)
+        monkeypatch.setattr(rng, "USE_HELPER", True)
+        monkeypatch.setattr(rng, "_usable_cpus", lambda: 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            deadline = time.monotonic() + 1.0
+            runs = 0
+            while runs == 0 or time.monotonic() < deadline:
+                assert sample_row_sum(spec).tobytes() == serial.tobytes()
+                runs += 1
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestMaxCellVariance:

@@ -6,7 +6,7 @@ from scipy import stats
 
 from bslab.increments import KINDS, IncrementModel
 from bslab.normal import norm_pdf
-from bslab.quadrature import QuadratureSettings, integrate
+from quadrature import QuadratureSettings, integrate
 
 ALL_MODELS = [
     IncrementModel.two_point(0.0225),

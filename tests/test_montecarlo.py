@@ -8,6 +8,7 @@ from bslab.montecarlo import McConfig, mc_forward_check, mc_price
 from bslab.pricing import (OptionSpec, bs_call_price, intrinsic_forward_value,
                            risk_neutral_params)
 from bslab.rng import BLOCK, normal_stream
+from test_cltlab import pooled_and_serial
 
 EXAMPLE = OptionSpec(spot=50.0, strike=52.0, rate=0.04, expiry=1.0, volatility=0.15)
 
@@ -83,6 +84,16 @@ def test_block_merge_matches_whole_array_moments():
     ratio = mc_forward_check(EXAMPLE, McConfig(paths=paths, seed=3))
     assert ratio == pytest.approx(math.fsum(np.exp(y - EXAMPLE.rate * EXAMPLE.expiry)) / paths,
                                   rel=1e-15)
+
+
+@pytest.mark.parametrize("paths", [BLOCK, 2 * BLOCK, 3 * BLOCK, 3 * BLOCK + 17])
+def test_helper_thread_changes_no_bits(monkeypatch, paths):
+    # blocks split between the calling thread and the helper (as on two
+    # CPUs) against the forced-serial path
+    cfg = McConfig(paths=paths, seed=11)
+    pooled, serial = pooled_and_serial(
+        monkeypatch, lambda: repr((mc_price(EXAMPLE, cfg), mc_forward_check(EXAMPLE, cfg))))
+    assert pooled == serial
 
 
 def test_memory_stays_bounded_in_paths():

@@ -6,7 +6,7 @@ import pytest
 from scipy.special import ndtri
 
 from bslab.normal import norm_cdf, norm_cdf_inv, norm_pdf
-from bslab.quadrature import QuadratureSettings, integrate
+from quadrature import QuadratureSettings, integrate
 
 TIGHT = QuadratureSettings(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=2000)
 

@@ -8,7 +8,7 @@ from bslab.pricing import (DegenerateVolatilityError, NormalParams, OptionSpec, 
                            bs_call_price, d_plus_minus, discount, intrinsic_forward_value,
                            lognormal_call_expectation, lognormal_h_plus_minus,
                            risk_neutral_params)
-from bslab.quadrature import QuadratureSettings, integrate
+from quadrature import QuadratureSettings, integrate
 
 EXAMPLE = OptionSpec(spot=50.0, strike=52.0, rate=0.04, expiry=1.0, volatility=0.15)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bslab.normal import norm_pdf
-from bslab.quadrature import QuadratureConvergenceError, QuadratureSettings, integrate
+from quadrature import QuadratureConvergenceError, QuadratureSettings, integrate
 
 
 def test_density_normalizes_to_one():
