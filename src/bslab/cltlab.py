@@ -6,6 +6,9 @@ is an independent draw from the increment model, so row sums play the role
 of the total log-return over [0, t]. The machinery measures, at desk scale,
 whether row sums approach the normal law with variance per_unit_variance*t
 and whether the Lindeberg tail sum vanishes.
+
+Row sums fill rng.map_blocks pieces of whole rows, and the Monte Carlo
+Lindeberg estimate is reduced by rng.block_mean_m2.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from .increments import IncrementModel
 from .normal import norm_cdf
-from .rng import BLOCK, block_moments, check_seed, map_blocks, merge_moments, substream
+from .rng import BLOCK, block_mean_m2, check_seed, map_blocks, substream
 
 # 1% asymptotic critical value for sqrt(m) * KS statistic
 KS_ONE_PERCENT = 1.628
@@ -35,6 +38,8 @@ KS_MIN_SAMPLES = 100
 # stream draws sampled per chunk (at least one whole row): rows are never
 # split across chunks, so each row sum is one whole-row reduction
 _CHUNK_ELEMENTS = BLOCK
+# increments per row in the sums whose variance estimate_variance takes
+VARIANCE_ROWS = 16
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -147,12 +152,11 @@ def sample_row_sum(spec: ArraySpec) -> np.ndarray:
     out = np.empty(spec.samples)
     rows_per_chunk = max(1, _CHUNK_ELEMENTS // spec.rows)
 
-    def fill(j0: int) -> None:
-        j1 = min(j0 + rows_per_chunk, spec.samples)
+    def fill(j0: int, j1: int) -> None:
         draws = spec.model.sample(h, spec.seed, j0 * spec.rows, (j1 - j0) * spec.rows)
         out[j0:j1] = draws.reshape(j1 - j0, spec.rows).sum(axis=1)
 
-    for _ in map_blocks(fill, range(0, spec.samples, rows_per_chunk)):
+    for _ in map_blocks(fill, spec.samples, step=rows_per_chunk):
         pass
     return out
 
@@ -172,23 +176,18 @@ def lindeberg_statistic(model: IncrementModel, n: int, horizon: float, epsilon: 
     Under stationarity this single-cell form equals the full row sum of
     truncated second moments. The Monte Carlo estimate always comes back;
     kinds with closed-form tails also report the analytic value. Draws are
-    reduced in canonical rng.BLOCK blocks from index 0 (as in mc_price), so
-    memory does not grow with samples and the bits never depend on chunking
-    or on whether rng.map_blocks runs the blocks on one thread or two.
+    reduced by rng.block_mean_m2 (as in mc_price), so memory does not grow
+    with samples and the bits never depend on one thread or two.
     """
     check_ladder((n,), horizon, epsilon)
     check_samples(samples, VARIANCE_MIN_SAMPLES)
     h = horizon / n
 
-    def tail_moments(lo: int) -> tuple[int, float, float]:
-        z = model.sample(h, seed, lo, min(BLOCK, samples - lo))
-        return block_moments(np.where(np.abs(z) > epsilon, z * z, 0.0))
+    def tail_squares(lo: int, hi: int) -> np.ndarray:
+        z = model.sample(h, seed, lo, hi - lo)
+        return np.where(np.abs(z) > epsilon, z * z, 0.0)
 
-    acc = (0, 0.0, 0.0)
-    for part in map_blocks(tail_moments, range(0, samples, BLOCK)):
-        acc = merge_moments(acc, part)
-
-    _, mean, m2 = acc
+    mean, m2 = block_mean_m2(tail_squares, samples)
     estimate = n * mean
     std_error = n * math.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
     tail = model.lindeberg_tail(h, epsilon)
@@ -217,12 +216,13 @@ def ks_normal_test(samples, mean: float, std_dev: float) -> tuple[float, float]:
     return max(d_plus, d_minus), KS_ONE_PERCENT / math.sqrt(m)
 
 
-def estimate_variance(model: IncrementModel, horizon: float, samples: int, seed: int,
-                      rows: int = 16) -> tuple[float, float]:
-    """Sample variance of simulated sums over [0, horizon], with a
-    model-free standard error from the empirical fourth central moment."""
+def estimate_variance(model: IncrementModel, horizon: float, samples: int,
+                      seed: int) -> tuple[float, float]:
+    """Sample variance of simulated VARIANCE_ROWS-increment sums over
+    [0, horizon], with a model-free standard error from the empirical
+    fourth central moment."""
     check_samples(samples, VARIANCE_MIN_SAMPLES)
-    sums = sample_row_sum(ArraySpec(model, horizon, rows, samples, seed))
+    sums = sample_row_sum(ArraySpec(model, horizon, VARIANCE_ROWS, samples, seed))
     v = float(sums.var(ddof=1))
     centered = sums - sums.mean()
     m4 = float(np.mean(centered ** 4))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .normal import norm_cdf, norm_cdf_inv, norm_pdf
-from .rng import poisson_stream, uniform_stream
+from .rng import poisson_law, poisson_stream, uniform_stream
 
 KINDS = ("two_point", "uniform", "centered_exponential", "normal", "poisson_jump")
 
@@ -114,22 +114,11 @@ class IncrementModel:
     def _poisson_tail(self, h: float, epsilon: float) -> float:
         a = self.jump_size
         mu = self.intensity * h
-        pmf = math.exp(-mu)
-        cdf = pmf
         total = 0.0
-        k = 0
-        cap = int(mu + 40.0 * math.sqrt(mu) + 200.0)
-        while True:
+        for k, p in enumerate(poisson_law(mu)[0]):
             z = a * (k - mu)
             if abs(z) > epsilon:
-                total += z * z * pmf
-            if cdf >= 1.0 - 1e-18 and k > mu:
-                break
-            k += 1
-            if k > cap:
-                break
-            pmf *= mu / k
-            cdf += pmf
+                total += z * z * p
         return total
 
     # -- sampling -----------------------------------------------------------

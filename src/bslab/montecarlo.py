@@ -1,13 +1,11 @@
 """Monte Carlo call pricer under the risk-neutral lognormal law.
 
 Terminal log-returns are sampled with the counter-based streams from
-bslab.rng, so draw i depends only on (seed, i). Paths are processed in
-canonical rng.BLOCK-sized blocks starting at index 0; each block is reduced
-to (count, mean, M2) and the blocks are merged in order with Chan's
-pairwise update. Memory is therefore O(block) for any number of paths.
-Blocks run on the calling thread plus one helper when a second CPU is
-available (rng.map_blocks); the merge is in block order either way, so the
-results are bit-identical.
+bslab.rng, so draw i depends only on (seed, i). The payoffs are reduced
+by rng.block_mean_m2 and the forward check's sums are taken over
+rng.map_blocks: both cut the paths into canonical rng.BLOCK-sized pieces
+from index 0 and combine them in order, so memory is O(block) for any
+number of paths and the results are bit-identical on one thread or two.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ import numpy as np
 
 from .pricing import (NormalParams, OptionSpec, PriceResult, d_plus_minus, degenerate_result,
                       risk_neutral_params)
-from .rng import BLOCK, block_moments, check_seed, map_blocks, merge_moments, normal_stream
+from .rng import block_mean_m2, check_seed, map_blocks, normal_stream
 
 
 @dataclass(frozen=True)
@@ -35,9 +33,9 @@ class McConfig:
         check_seed(self.seed)
 
 
-def _terminal_log_returns(params: NormalParams, cfg: McConfig, lo: int) -> np.ndarray:
-    """Terminal log-returns for the block of paths starting at lo."""
-    z = normal_stream(cfg.seed, lo, min(BLOCK, cfg.paths - lo))
+def _terminal_log_returns(params: NormalParams, cfg: McConfig, lo: int, hi: int) -> np.ndarray:
+    """Terminal log-returns for paths lo..hi-1."""
+    z = normal_stream(cfg.seed, lo, hi - lo)
     z *= params.std_dev
     z += params.mean
     return z
@@ -57,21 +55,17 @@ def mc_price(spec: OptionSpec, cfg: McConfig) -> PriceResult:
     params = risk_neutral_params(spec)
     disc = math.exp(-spec.rate * spec.expiry)
 
-    def payoff_moments(lo: int) -> tuple[int, float, float]:
+    def discounted_payoff(lo: int, hi: int) -> np.ndarray:
         # disc * max(spot * e^y - strike, 0), in place over the block
-        payoff = _terminal_log_returns(params, cfg, lo)
+        payoff = _terminal_log_returns(params, cfg, lo, hi)
         np.exp(payoff, out=payoff)
         payoff *= spec.spot
         payoff -= spec.strike
         np.maximum(payoff, 0.0, out=payoff)
         payoff *= disc
-        return block_moments(payoff)
+        return payoff
 
-    acc = (0, 0.0, 0.0)
-    for part in map_blocks(payoff_moments, range(0, cfg.paths, BLOCK)):
-        acc = merge_moments(acc, part)
-
-    _, estimate, m2 = acc
+    estimate, m2 = block_mean_m2(discounted_payoff, cfg.paths)
     std_error = math.sqrt(m2 / (cfg.paths - 1)) / math.sqrt(cfg.paths)
     dp, dm = d_plus_minus(spec)
     return PriceResult(price=max(estimate, 0.0), d_plus=dp, d_minus=dm,
@@ -91,9 +85,9 @@ def mc_forward_check(spec: OptionSpec, cfg: McConfig) -> float:
     params = risk_neutral_params(spec)
     rt = spec.rate * spec.expiry
 
-    def growth_sum(lo: int) -> float:
-        y = _terminal_log_returns(params, cfg, lo)
+    def growth_sum(lo: int, hi: int) -> float:
+        y = _terminal_log_returns(params, cfg, lo, hi)
         y -= rt
         return float(np.exp(y, out=y).sum())
 
-    return math.fsum(map_blocks(growth_sum, range(0, cfg.paths, BLOCK))) / cfg.paths
+    return math.fsum(map_blocks(growth_sum, cfg.paths)) / cfg.paths

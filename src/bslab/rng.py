@@ -1,21 +1,20 @@
-"""Counter-based random streams: each draw is a pure function of (seed, index).
+"""Counter-based random streams, and the one place draws become numbers.
 
 The generator is SplitMix64 evaluated at an arbitrary counter position:
 draw i mixes the state seed + (i+1)*golden_gamma through the 64-bit
-finalizer. Because there is no sequential state, any batch decomposition
-over the index range produces bit-identical draws, which is what makes
-Monte Carlo results independent of batch size or parallelism. Callers
-therefore sample in fixed BLOCK-sized pieces: the uint64 mixing of a block
-stays in cache, and where the blocks end never changes a value.
-
-map_blocks runs those pieces on the calling thread plus one helper thread
-when a second CPU is available (numpy and scipy.special release the GIL
-inside their loops) and hands the results back in canonical order, so the
-results are bit-identical to a serial run.
+finalizer. With no sequential state, any batch decomposition over the index
+range gives bit-identical draws. Every sampler therefore cuts its range into
+BLOCK-sized pieces with map_blocks, which runs them on the calling thread
+plus one helper when a second CPU is available (numpy and scipy.special
+release the GIL) and returns the results in order; block_mean_m2 merges
+per-piece moments in that order, so no result depends on the threads.
+poisson_law is the one Poisson table: poisson_stream samples its cdf and
+the poisson_jump Lindeberg tail sums its pmf.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -34,8 +33,6 @@ _INDEX_LIMIT = 2 ** 64 - 1
 # draws per sampling block: a float64 block is 512 KiB, small enough that
 # the mixing temporaries stay in a 2 MiB L2 cache
 BLOCK = 65_536
-# whether map_blocks may use its helper thread; False forces the serial path
-USE_HELPER = True
 
 
 def _usable_cpus() -> int:
@@ -45,25 +42,49 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def map_blocks(fn, starts):
-    """Yield fn(start) for each start, in order.
+def map_blocks(fn, total: int, step: int = BLOCK):
+    """Yield fn(lo, hi) for the pieces [lo, hi) that cut range(total) every
+    step indices, in order; the last piece may be short.
 
-    The calling thread computes the even-numbered starts and one helper
-    thread the odd-numbered ones, so at most two blocks are in flight; with
-    one usable CPU or fewer than two starts everything runs serially. An
+    The calling thread computes the even-numbered pieces and one helper
+    thread the odd-numbered ones, so at most two pieces are in flight; with
+    one usable CPU or fewer than two pieces everything runs serially. An
     exception raised by fn on either thread reaches the caller, and the
     helper has stopped by the time the generator finishes or is closed.
     """
-    starts = list(starts)
-    if not USE_HELPER or len(starts) < 2 or _usable_cpus() < 2:
-        yield from map(fn, starts)
+    pieces = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+    if len(pieces) < 2 or _usable_cpus() < 2:
+        yield from (fn(lo, hi) for lo, hi in pieces)
         return
     with ThreadPoolExecutor(1) as helper:
-        for i in range(0, len(starts), 2):
-            odd = helper.submit(fn, starts[i + 1]) if i + 1 < len(starts) else None
-            yield fn(starts[i])
+        for i in range(0, len(pieces), 2):
+            odd = helper.submit(fn, *pieces[i + 1]) if i + 1 < len(pieces) else None
+            yield fn(*pieces[i])
             if odd is not None:
                 yield odd.result()
+
+
+def block_mean_m2(values, total: int) -> tuple[float, float]:
+    """Mean and M2 (sum of squared deviations) of the arrays values(lo, hi)
+    over the BLOCK pieces of range(total), taken together.
+
+    Each piece is reduced on the thread that sampled it (values returns an
+    array it owns, which is overwritten) and the pieces are merged in order
+    with Chan et al.'s pairwise update, so memory is O(BLOCK).
+    """
+    def moments(lo: int, hi: int) -> tuple[int, float, float]:
+        block = values(lo, hi)
+        mean_b = float(block.mean())
+        block -= mean_b
+        return block.size, mean_b, float(np.square(block, out=block).sum())
+
+    count, mean, m2 = 0, 0.0, 0.0
+    for n_b, mean_b, m2_b in map_blocks(moments, total):
+        merged = count + n_b
+        delta = mean_b - mean
+        mean, m2 = mean + delta * n_b / merged, m2 + m2_b + delta * delta * count * n_b / merged
+        count = merged
+    return mean, m2
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -106,29 +127,24 @@ def uniform_stream(seed: int, start: int, count: int) -> np.ndarray:
     return np.minimum(u, _BELOW_ONE, out=u)
 
 
-def block_moments(block: np.ndarray) -> tuple[int, float, float]:
-    """(count, mean, M2) of one block of values. The block is overwritten."""
-    mean_b = float(block.mean())
-    block -= mean_b
-    return block.size, mean_b, float(np.square(block, out=block).sum())
-
-
-def merge_moments(acc: tuple[int, float, float],
-                  part: tuple[int, float, float]) -> tuple[int, float, float]:
-    """Fold one block's (count, mean, M2) into a running one with Chan et
-    al.'s pairwise update."""
-    count, mean, m2 = acc
-    n_b, mean_b, m2_b = part
-    total = count + n_b
-    delta = mean_b - mean
-    return total, mean + delta * n_b / total, m2 + m2_b + delta * delta * count * n_b / total
-
-
 def normal_stream(seed: int, start: int, count: int) -> np.ndarray:
     """Standard normal draws by inverse-CDF transform of uniform_stream."""
-    if count == 0:
-        return np.empty(0)
     return norm_cdf_inv(uniform_stream(seed, start, count))
+
+
+def poisson_law(mean: float) -> tuple[list[float], list[float]]:
+    """pmf and cdf of Poisson(mean) at k = 0, 1, ..., by p(k) = p(k-1) * (mean/k)
+    from exp(-mean). The table ends at the first k past the mean whose cdf
+    rounds to 1, or at k = int(mean + 40*sqrt(mean) + 200)."""
+    pmf = [math.exp(-mean)]
+    cdf = [pmf[0]]
+    cap = int(mean + 40.0 * math.sqrt(mean) + 200.0)
+    k = 0
+    while not (cdf[-1] >= 1.0 - 1e-18 and k > mean) and k < cap:
+        k += 1
+        pmf.append(pmf[-1] * (mean / k))
+        cdf.append(cdf[-1] + pmf[-1])
+    return pmf, cdf
 
 
 def poisson_stream(seed: int, start: int, count: int, mean: float) -> np.ndarray:
@@ -141,20 +157,16 @@ def poisson_stream(seed: int, start: int, count: int, mean: float) -> np.ndarray
     if not 0.0 < mean < 700.0:
         raise ValueError(f"poisson mean must be in (0, 700), got {mean}")
     u = uniform_stream(seed, start, count)
+    _, cdf = poisson_law(mean)
     out = np.zeros(count)
-    pmf = np.exp(-mean)
-    cdf = pmf
     k = 0
-    cap = int(mean + 40.0 * np.sqrt(mean) + 200.0)
-    active = u > cdf
+    active = u > cdf[0]
     while active.any():
         k += 1
-        if k > cap:
+        if k == len(cdf):
             raise RuntimeError("poisson inverse transform failed to terminate")
-        pmf *= mean / k
-        cdf += pmf
         out += active
-        active = u > cdf
+        active = u > cdf[k]
     return out
 
 

@@ -28,7 +28,7 @@ def pooled_and_serial(monkeypatch, run):
     """run() with the helper thread in use (as on two CPUs), then forced serial."""
     monkeypatch.setattr(rng, "_usable_cpus", lambda: 2)
     pooled = run()
-    monkeypatch.setattr(rng, "USE_HELPER", False)
+    monkeypatch.setattr(rng, "_usable_cpus", lambda: 1)
     return pooled, run()
 
 
@@ -145,9 +145,8 @@ class TestHelperThread:
         # 500 chunks of 4 rows; switch threads as often as the interpreter can
         monkeypatch.setattr(cltlab, "_CHUNK_ELEMENTS", 16)
         spec = ArraySpec(IncrementModel.centered_exponential(0.0225), 1.0, 4, 2000, 31)
-        monkeypatch.setattr(rng, "USE_HELPER", False)
+        monkeypatch.setattr(rng, "_usable_cpus", lambda: 1)
         serial = sample_row_sum(spec)
-        monkeypatch.setattr(rng, "USE_HELPER", True)
         monkeypatch.setattr(rng, "_usable_cpus", lambda: 2)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -5,7 +5,9 @@ import pytest
 from scipy import stats
 
 from bslab.normal import norm_cdf_inv
-from bslab.rng import normal_stream, poisson_stream, substream, uniform_stream
+import bslab.rng as rng
+from bslab.rng import (BLOCK, block_mean_m2, map_blocks, normal_stream, poisson_law,
+                       poisson_stream, substream, uniform_stream)
 
 
 def test_uniform_open_interval():
@@ -15,8 +17,9 @@ def test_uniform_open_interval():
 
 def test_uniform_batch_decomposition_is_exact():
     whole = uniform_stream(42, 0, 1000)
-    parts = np.concatenate([uniform_stream(42, 0, 137), uniform_stream(42, 137, 863)])
-    assert np.array_equal(whole, parts)
+    parts = [uniform_stream(42, 0, 137), uniform_stream(42, 137, 0), uniform_stream(42, 137, 863)]
+    assert parts[1].dtype == np.float64 and parts[1].shape == (0,)
+    assert np.array_equal(whole, np.concatenate(parts))
 
 
 def test_uniform_moments():
@@ -31,8 +34,10 @@ def test_different_seeds_differ():
 
 
 def test_normal_stream_is_inverse_cdf_of_uniforms():
-    u = uniform_stream(5, 100, 256)
-    assert np.array_equal(normal_stream(5, 100, 256), norm_cdf_inv(u))
+    for count in (256, 0):
+        z = normal_stream(5, 100, count)
+        assert z.dtype == np.float64 and z.shape == (count,)
+        assert np.array_equal(z, norm_cdf_inv(uniform_stream(5, 100, count)))
 
 
 def test_normal_stream_moments():
@@ -55,8 +60,10 @@ def test_poisson_stream_matches_reference_pmf():
 
 def test_poisson_stream_deterministic():
     assert np.array_equal(poisson_stream(8, 0, 512, 2.0), poisson_stream(8, 0, 512, 2.0))
-    parts = np.concatenate([poisson_stream(8, 0, 100, 2.0), poisson_stream(8, 100, 412, 2.0)])
-    assert np.array_equal(poisson_stream(8, 0, 512, 2.0), parts)
+    parts = [poisson_stream(8, 0, 100, 2.0), poisson_stream(8, 100, 0, 2.0),
+             poisson_stream(8, 100, 412, 2.0)]
+    assert parts[1].dtype == np.float64 and parts[1].shape == (0,)
+    assert np.array_equal(poisson_stream(8, 0, 512, 2.0), np.concatenate(parts))
 
 
 def test_poisson_mean_domain():
@@ -95,3 +102,46 @@ def test_top_bin_draw_stays_below_one():
     assert u[0] < 1.0
     assert u[0] == 1.0 - 2.0 ** -53
     assert np.isfinite(normal_stream(0, 8454462832853231295, 1)).all()
+
+
+@pytest.mark.parametrize("total, step, pieces", [
+    (10, 4, [(0, 4), (4, 8), (8, 10)]),  # short last piece
+    (12, 4, [(0, 4), (4, 8), (8, 12)]),
+    (3, 8, [(0, 3)]),  # step > total
+    (0, 4, []),
+])
+@pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "helper"])
+def test_map_blocks_piece_bounds(monkeypatch, total, step, pieces, cpus):
+    monkeypatch.setattr(rng, "_usable_cpus", lambda: cpus)
+    assert list(map_blocks(lambda lo, hi: (lo, hi), total, step=step)) == pieces
+
+
+def test_map_blocks_defaults_to_block_pieces():
+    assert list(map_blocks(lambda lo, hi: (lo, hi), 2 * BLOCK + 1)) == \
+        [(0, BLOCK), (BLOCK, 2 * BLOCK), (2 * BLOCK, 2 * BLOCK + 1)]
+
+
+@pytest.mark.parametrize("total", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17])
+def test_block_mean_m2_matches_one_piece_reduction(monkeypatch, total):
+    def values(lo, hi):
+        return np.exp(normal_stream(4, lo, hi - lo))
+
+    x = values(0, total)
+    runs = []
+    for cpus in (2, 1):  # helper on, then off
+        monkeypatch.setattr(rng, "_usable_cpus", lambda: cpus)
+        runs.append(block_mean_m2(values, total))
+    assert runs[0] == runs[1]
+    mean, m2 = runs[0]
+    assert mean == pytest.approx(x.mean(), rel=1e-13)
+    assert m2 == pytest.approx(float(np.sum((x - x.mean()) ** 2)), rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("mean", [2.0 / 16, 0.25, 2.0, 30.0, 650.0])
+def test_poisson_law_matches_reference_pmf(mean):
+    pmf, cdf = poisson_law(mean)
+    k = np.arange(len(pmf))
+    assert np.allclose(pmf, stats.poisson.pmf(k, mean), rtol=1e-11, atol=1e-300)
+    assert np.array_equal(cdf, np.cumsum(pmf))
+    # the table runs past the mean until the cdf rounds to 1
+    assert len(pmf) - 1 > mean and cdf[-1] >= 1.0 - 1e-12
