@@ -1,9 +1,10 @@
 """Black-Scholes call pricing with independent discrete pricers and
 central-limit-theorem convergence experiments.
 
-Submodules load on first use: `bslab.bs_call_price` imports only
-bslab.pricing, which needs nothing beyond `math`, while the tree, Monte
-Carlo and CLT names bring in numpy and scipy.special when first asked for.
+Submodules load on first use: `bslab.bs_call_price` and
+`bslab.crr_tree_price` need nothing beyond the standard library, while the
+Monte Carlo and CLT names bring in numpy and scipy.special when first asked
+for.
 The adaptive-quadrature oracle that cross-checks the closed forms lives with
 the tests (tests/quadrature.py), so the package never needs scipy.integrate."""
 

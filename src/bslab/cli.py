@@ -7,9 +7,10 @@ names, '#' starts a comment) and explicit command-line flags win over it.
 
 Each subcommand is one COMMANDS entry: flag groups, a build step making
 its domain objects and a run step returning its report. Steps import the
-domain modules they use when they run, so `price` loads neither numpy nor
-scipy, and call the pricers and experiments through those modules, so a
-tracer that rebinds a function in its home module sees every call.
+domain modules they use when they run, so `price` and `tree` load neither
+numpy nor scipy, and call the pricers and experiments through those
+modules, so a tracer that rebinds a function in its home module sees every
+call.
 
 Exit codes: 0 success, 1 usage error, 2 numerical/convergence error.
 """

@@ -2,17 +2,21 @@
 
 Per step of length t/n the price moves by u = exp(vol*sqrt(t/n)) or d = 1/u
 with risk-neutral probability p = (exp(r*t/n) - d)/(u - d), so the one-step
-martingale identity p*u + (1-p)*d = exp(r*t/n) holds by construction. The
-discounted expected payoff is evaluated with log-space binomial weights,
-which stays stable for step counts well beyond 10^4.
+martingale identity p*u + (1-p)*d = exp(r*t/n) holds by construction.
+
+The terminal row is Binomial(n, p), which concentrates within O(sqrt(n))
+nodes of its mode, so only those nodes are weighed: 37,636 at 10^6 steps,
+in plain `math`, with no numpy or scipy.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import sys
+from array import array
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import chain
 
 from .pricing import OptionSpec, PriceResult, d_plus_minus, degenerate_result
 
@@ -22,7 +26,7 @@ class TreeConfig:
     steps: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.steps, (int, np.integer)) or isinstance(self.steps, bool):
+        if not isinstance(self.steps, numbers.Integral) or isinstance(self.steps, bool):
             raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
@@ -32,15 +36,57 @@ class TreeParameterizationError(ValueError):
     """The risk-neutral step probability left (0, 1); use more steps."""
 
 
+def binomial_weights(n: int, p: float) -> tuple[int, array]:
+    """Binomial(n, p) weights around the mode, scaled so the mode weighs 1.
+
+    Returns (lo, weights) with weights[j] proportional to C(n,k) p^k (1-p)^(n-k)
+    at k = lo + j. The ratio w[k+1]/w[k] = (n-k)/(k+1) * p/(1-p) is walked
+    outward from the mode min(n, floor((n+1)p)), and each direction stops at
+    the first weight below the smallest normal float: the nodes dropped weigh
+    under 2.3e-308 of the mode's, and waiting for 0.0 instead would crawl
+    through the subnormals (a third of the row at 10^6 steps).
+    """
+    mode = min(n, int((n + 1) * p))
+    odds = p / (1.0 - p)
+    below, above = array("d"), array("d", [1.0])
+    w = 1.0
+    for k in range(mode, n):
+        w *= (n - k) / (k + 1) * odds
+        if w < sys.float_info.min:
+            break
+        above.append(w)
+    w = 1.0
+    for k in range(mode, 0, -1):
+        w *= k / (n - k + 1) / odds
+        if w < sys.float_info.min:
+            break
+        below.append(w)
+    below.reverse()
+    return mode - len(below), below + above
+
+
+def _exact_sum(values: array) -> float:
+    """`math.fsum` of terms that rise and then fall, fed from the largest
+    outward: the sum is correctly rounded in any order, but on terms that
+    span the float range this order runs some 10x faster than left to right,
+    where each rising term leaves another partial sum behind."""
+    if not values:
+        return 0.0
+    peak = values.index(max(values))
+    return math.fsum(chain(reversed(values[:peak]), values[peak:]))
+
+
 def crr_tree_price(spec: OptionSpec, cfg: TreeConfig) -> PriceResult:
     """Price a European call on a recombining binomial tree.
 
     Returns the discounted expected terminal payoff
-    e^{-rt} * sum_k C(n,k) p^k (1-p)^{n-k} max(spot*u^k*d^{n-k} - strike, 0).
+    e^{-rt} * sum_k C(n,k) p^k (1-p)^{n-k} max(spot*u^k*d^{n-k} - strike, 0),
+    summed exactly over the weights of `binomial_weights`, with each
+    in-the-money node spot*exp((2k-n)*vol*sqrt(t/n)) computed directly.
     With zero volatility or zero expiry the lattice is a single
     deterministic path, and the deterministic-limit price is returned.
     """
-    n = cfg.steps
+    n = int(cfg.steps)
     if spec.vol_sqrt_t == 0.0:
         return degenerate_result(spec, "tree", detail={"steps": n, "degenerate": True})
 
@@ -56,17 +102,17 @@ def crr_tree_price(spec: OptionSpec, cfg: TreeConfig) -> PriceResult:
             f"steps={n}; increase steps until exp(r*t/n) lies between the "
             f"down and up factors")
 
-    from scipy.special import gammaln
-
-    k = np.arange(n + 1)
-    log_weights = (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-                   + k * math.log(p) + (n - k) * math.log1p(-p))
-    terminal = spec.spot * np.exp((2 * k - n) * step_vol)
-    payoff = np.maximum(terminal - spec.strike, 0.0)
-    price = math.exp(-spec.rate * spec.expiry) * float(np.exp(log_weights) @ payoff)
+    lo, weights = binomial_weights(n, p)
+    # nodes rise with k, so walk down from the top until the call expires worthless
+    in_the_money = array("d")
+    for k in range(lo + len(weights) - 1, lo - 1, -1):
+        excess = spec.spot * math.exp((2 * k - n) * step_vol) - spec.strike
+        if excess <= 0.0:
+            break
+        in_the_money.append(weights[k - lo] * excess)
+    price = math.exp(-spec.rate * spec.expiry) * _exact_sum(in_the_money) / _exact_sum(weights)
 
     dp, dm = d_plus_minus(spec)
     detail = {"steps": n, "terminal_nodes": n + 1, "up_factor": u, "down_factor": d,
               "prob_up": p}
-    return PriceResult(price=max(price, 0.0), d_plus=dp, d_minus=dm, method="tree",
-                       detail=detail)
+    return PriceResult(price=price, d_plus=dp, d_minus=dm, method="tree", detail=detail)

@@ -338,6 +338,12 @@ class TestLazyImports:
                           + NO_NUMPY_OR_SCIPY)
         assert "price = 3.00761494346" in proc.stdout
 
+    def test_tree_command_loads_neither_numpy_nor_scipy(self):
+        argv = ["tree", *PRICE_ARGS[1:], "--steps", "10000"]
+        proc = run_python(f"import bslab.cli\nassert bslab.cli.main({argv!r}) == 0\n"
+                          + NO_NUMPY_OR_SCIPY)
+        assert "price = 3.00757043188" in proc.stdout
+
     def test_import_starts_no_thread(self):
         run_python("import threading\nimport bslab.cltlab, bslab.montecarlo\n"
                    "assert threading.active_count() == 1, threading.enumerate()\n")

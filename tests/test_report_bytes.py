@@ -20,8 +20,10 @@ LADDER = ["--samples", "5000", "--seed", "2024", "--n-ladder", "16,256,4096", "-
 GOLDEN = {
     "price": (["price", *OPTION, "--vol", "0.15"],
               "efc7f49c364a5c24995fd4ddcf3c28d38cc78374466fcd1a44ed7bba9cd5d9ff"),
+    # price 3.0075704318807173 from the mode-centred weights and exact sums of
+    # bslab.tree (40-digit lattice sum 3.0075704318807124)
     "tree": (["tree", *OPTION, "--vol", "0.15", "--steps", "10000"],
-             "c91181ccc06b4113aadf5b3311e2d0e85e0198c63f126f802390b591064e2232"),
+             "87df592c4b94264129257d07c3dd2b3a6e5112e1f9101cee297b935b542ef19d"),
     "mc": (["mc", *OPTION, "--vol", "0.15", "--paths", "1000000", "--seed", "42"],
            "d0ab93dfed49437821a01335abf1e4750e48846dac8a309a187e3c481e73208b"),
     "clt_demo_two_point": (

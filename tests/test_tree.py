@@ -1,11 +1,16 @@
 import math
+import sys
+import tracemalloc
 
+import mpmath
 import pytest
 
 from bslab.pricing import OptionSpec, bs_call_price, intrinsic_forward_value
-from bslab.tree import TreeConfig, TreeParameterizationError, crr_tree_price
+from bslab.tree import TreeConfig, TreeParameterizationError, binomial_weights, crr_tree_price
 
 EXAMPLE = OptionSpec(spot=50.0, strike=52.0, rate=0.04, expiry=1.0, volatility=0.15)
+DEEP_OTM = OptionSpec(spot=50.0, strike=500.0, rate=0.04, expiry=1.0, volatility=0.15)
+DEEP_ITM = OptionSpec(spot=500.0, strike=5.0, rate=0.04, expiry=1.0, volatility=0.15)
 
 
 def test_config_validation():
@@ -82,3 +87,99 @@ def test_d_diagnostics_match_closed_form():
     tree = crr_tree_price(EXAMPLE, TreeConfig(steps=32))
     closed = bs_call_price(EXAMPLE)
     assert tree.d_plus == closed.d_plus and tree.d_minus == closed.d_minus
+
+
+def test_numpy_integer_steps_are_accepted():
+    import numpy as np
+    assert crr_tree_price(EXAMPLE, TreeConfig(np.int64(64))) == crr_tree_price(
+        EXAMPLE, TreeConfig(64))
+
+
+def exact_lattice_price(spec, n):
+    """40-digit sum over all n+1 nodes of the lattice that crr_tree_price
+    builds from the same float step_vol and p. Weights and nodes advance by
+    their one-step ratios, which keeps the sum O(n) at 40 digits."""
+    with mpmath.workdps(40):
+        step_vol = spec.volatility * math.sqrt(spec.expiry / n)
+        u = math.exp(step_vol)
+        d = 1.0 / u
+        p = mpmath.mpf((math.exp(spec.rate * spec.expiry / n) - d) / (u - d))
+        odds = p / (1 - p)
+        up_twice = mpmath.exp(2 * mpmath.mpf(step_vol))
+        weight = (1 - p) ** n
+        node = spec.spot * mpmath.exp(-n * mpmath.mpf(step_vol))
+        strike = mpmath.mpf(spec.strike)
+        total = payoff = mpmath.mpf(0)
+        for k in range(n + 1):
+            total += weight
+            if node > strike:
+                payoff += weight * (node - strike)
+            weight = weight * odds * (n - k) / (k + 1)
+            node *= up_twice
+        return mpmath.exp(-mpmath.mpf(spec.rate) * spec.expiry) * payoff / total
+
+
+@pytest.mark.parametrize("n", [10, 1000, 10_000, 100_000])
+@pytest.mark.parametrize("spec", [EXAMPLE, DEEP_OTM, DEEP_ITM], ids=["atm", "deep_otm", "deep_itm"])
+def test_matches_exact_lattice_sum(spec, n):
+    price = crr_tree_price(spec, TreeConfig(n)).price
+    exact = exact_lattice_price(spec, n)
+    if exact == 0:  # no node of a short lattice reaches strike 500
+        assert price == 0.0
+    else:
+        assert abs(price - exact) <= 1e-12 * exact
+
+
+def test_weights_match_the_binomial_pmf():
+    for n, p in ((1, 0.3), (7, 0.5), (40, 0.9), (200, 0.013)):
+        lo, weights = binomial_weights(n, p)
+        pmf = [math.comb(n, k) * p ** k * (1 - p) ** (n - k) for k in range(n + 1)]
+        scale = math.fsum(weights)
+        for k, w in enumerate(weights, lo):
+            assert w / scale == pytest.approx(pmf[k], rel=1e-12)
+        # only nodes below the normal-float floor relative to the mode are left out
+        dropped = pmf[:lo] + pmf[lo + len(weights):]
+        assert all(q < sys.float_info.min * max(pmf) for q in dropped)
+    assert len(binomial_weights(200, 0.013)[1]) < 201
+
+
+def test_mode_at_either_end_of_the_lattice():
+    lo, weights = binomial_weights(1, 1e-9)
+    assert lo == 0 and list(weights) == [1.0, pytest.approx(1e-9)]
+    lo, weights = binomial_weights(1, 1 - 1e-9)
+    assert lo == 0 and list(weights) == [pytest.approx(1e-9), 1.0]
+    lo, weights = binomial_weights(1000, 1e-6)
+    assert lo == 0 and weights[0] == 1.0 and 1 < len(weights) < 100
+    lo, weights = binomial_weights(1000, 1 - 1e-6)
+    assert lo + len(weights) == 1001 and weights[-1] == 1.0 and 1 < len(weights) < 100
+
+
+def test_one_step_tree_is_one_discounted_expectation():
+    result = crr_tree_price(EXAMPLE, TreeConfig(1))
+    d = result.detail
+    up = max(EXAMPLE.spot * d["up_factor"] - EXAMPLE.strike, 0.0)
+    down = max(EXAMPLE.spot * d["down_factor"] - EXAMPLE.strike, 0.0)
+    expected = math.exp(-0.04) * (d["prob_up"] * up + (1 - d["prob_up"]) * down)
+    assert result.price == pytest.approx(expected, rel=1e-14)
+
+
+def test_deep_out_of_the_money_price_stays_positive():
+    assert 0.0 < crr_tree_price(DEEP_OTM, TreeConfig(1_000_000)).price < 1e-40
+
+
+def test_a_million_steps_weigh_a_window_of_order_sqrt_n():
+    lo, weights = binomial_weights(1_000_000, 0.5)
+    # the walk stops at the normal-float floor, ~19 standard deviations out,
+    # instead of crawling on through a third of the row in subnormals
+    assert len(weights) < 50_000
+    assert lo > 0 and lo + len(weights) < 1_000_001
+
+
+def test_a_million_steps_stay_small_in_memory():
+    tracemalloc.start()
+    try:
+        crr_tree_price(EXAMPLE, TreeConfig(1_000_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
