@@ -225,7 +225,9 @@ def estimate_variance(model: IncrementModel, horizon: float, samples: int,
     sums = sample_row_sum(ArraySpec(model, horizon, VARIANCE_ROWS, samples, seed))
     v = float(sums.var(ddof=1))
     centered = sums - sums.mean()
-    m4 = float(np.mean(centered ** 4))
+    # x**4 as two in-place squares: a tenth of the cost of np.power
+    np.square(centered, out=centered)
+    m4 = float(np.mean(np.square(centered, out=centered)))
     return v, math.sqrt(max(m4 - v * v, 0.0) / samples)
 
 

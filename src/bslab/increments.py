@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .normal import norm_cdf, norm_cdf_inv, norm_pdf
-from .rng import poisson_law, poisson_stream, uniform_stream
+from .normal import norm_cdf, norm_pdf
+from .rng import normal_stream, poisson_law, poisson_stream, uniform_stream
 
 KINDS = ("two_point", "uniform", "centered_exponential", "normal", "poisson_jump")
 
@@ -134,17 +134,31 @@ class IncrementModel:
         if self.kind == "poisson_jump":
             mu = self.intensity * h
             counts = poisson_stream(seed, start, count, mu)
-            return self.jump_size * (counts - mu)
+            counts -= mu
+            counts *= self.jump_size
+            return counts
 
+        # in place, in the order of the formula beside each kind
         s = math.sqrt(self.variance(h))
+        if self.kind == "normal":
+            z = normal_stream(seed, start, count)
+            z *= s  # s * z
+            return z
         u = uniform_stream(seed, start, count)
         if self.kind == "two_point":
             # -s below 1/2, +s from 1/2 up (u - 0.5 is +0.0 at exactly 1/2)
             u -= 0.5
             return np.copysign(s, u, out=u)
         if self.kind == "uniform":
-            return math.sqrt(3.0) * s * (2.0 * u - 1.0)
-        if self.kind == "centered_exponential":
-            return s * (-np.log1p(-u) - 1.0)
-        # normal
-        return s * norm_cdf_inv(u)
+            # sqrt(3) * s * (2u - 1)
+            u *= 2.0
+            u -= 1.0
+            u *= math.sqrt(3.0) * s
+            return u
+        # centered_exponential: s * (-log1p(-u) - 1)
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        np.negative(u, out=u)
+        u -= 1.0
+        u *= s
+        return u

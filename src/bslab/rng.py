@@ -4,10 +4,13 @@ The generator is SplitMix64 evaluated at an arbitrary counter position:
 draw i mixes the state seed + (i+1)*golden_gamma through the 64-bit
 finalizer. With no sequential state, any batch decomposition over the index
 range gives bit-identical draws. Every sampler therefore cuts its range into
-BLOCK-sized pieces with map_blocks, which runs them on the calling thread
-plus one helper when a second CPU is available (numpy and scipy.special
-release the GIL) and returns the results in order; block_mean_m2 merges
-per-piece moments in that order, so no result depends on the threads.
+BLOCK-sized pieces with map_blocks: when a second CPU is available, the
+calling thread and one helper each take the next untaken piece (numpy and
+scipy.special release the GIL while they work), and the results come back
+in piece order; block_mean_m2 merges per-piece moments in that order, so no
+result depends on the threads. A block of draws makes two arrays and
+holds the GIL briefly: the counters are one add to a precomputed table, and
+the mixing and the inverse normal CDF run in place.
 poisson_law is the one Poisson table: poisson_stream samples its cdf and
 the poisson_jump Lindeberg tail sums its pmf.
 """
@@ -16,11 +19,9 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 
 import numpy as np
-
-from .normal import norm_cdf_inv
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -33,6 +34,10 @@ _INDEX_LIMIT = 2 ** 64 - 1
 # draws per sampling block: a float64 block is 512 KiB, small enough that
 # the mixing temporaries stay in a 2 MiB L2 cache
 BLOCK = 65_536
+# gamma*(k+1) for k < BLOCK: a block's counters are one add away from it
+_STEPS = np.arange(1, BLOCK + 1, dtype=np.uint64) * _GAMMA
+# most map_blocks pieces taken (running or finished) but not yet yielded
+_AHEAD = 4
 
 
 def _usable_cpus() -> int:
@@ -46,22 +51,72 @@ def map_blocks(fn, total: int, step: int = BLOCK):
     """Yield fn(lo, hi) for the pieces [lo, hi) that cut range(total) every
     step indices, in order; the last piece may be short.
 
-    The calling thread computes the even-numbered pieces and one helper
-    thread the odd-numbered ones, so at most two pieces are in flight; with
-    one usable CPU or fewer than two pieces everything runs serially. An
-    exception raised by fn on either thread reaches the caller, and the
-    helper has stopped by the time the generator finishes or is closed.
+    The calling thread, starting with piece 0, and one helper thread each
+    take the next untaken piece; the caller takes one rather than wait for a
+    late result. No piece is taken _AHEAD or more past the next one to
+    yield. With one usable CPU or fewer than two pieces everything runs
+    serially. An exception raised by fn on either thread reaches the caller
+    in piece order, and the helper has stopped by the time the generator
+    finishes or is closed.
     """
     pieces = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-    if len(pieces) < 2 or _usable_cpus() < 2:
+    n = len(pieces)
+    if n < 2 or _usable_cpus() < 2:
         yield from (fn(lo, hi) for lo, hi in pieces)
         return
-    with ThreadPoolExecutor(1) as helper:
-        for i in range(0, len(pieces), 2):
-            odd = helper.submit(fn, *pieces[i + 1]) if i + 1 < len(pieces) else None
-            yield fn(*pieces[i])
-            if odd is not None:
-                yield odd.result()
+    cond = threading.Condition(threading.Lock())
+    done = {}  # finished piece -> (result, exception)
+    take, want = 1, 0  # next piece to take, next piece to yield
+
+    def claim():
+        # under cond: the next untaken piece inside the window, or None
+        nonlocal take
+        if take >= min(n, want + _AHEAD):
+            return None
+        take += 1
+        return take - 1
+
+    def run(i):
+        try:
+            outcome = fn(*pieces[i]), None
+        except BaseException as exc:  # re-raised by the caller, in piece order
+            outcome = None, exc
+        with cond:
+            done[i] = outcome
+            cond.notify()
+
+    def helper():
+        while True:
+            with cond:
+                while (i := claim()) is None:
+                    if take == n:
+                        return
+                    cond.wait()
+            run(i)
+
+    thread = threading.Thread(target=helper, daemon=True)
+    thread.start()
+    try:
+        run(0)
+        while want < n:
+            with cond:
+                i = None
+                while want not in done and (i := claim()) is None:
+                    cond.wait()
+                if i is None:
+                    (result, exc), want = done.pop(want), want + 1
+                    cond.notify()
+            if i is not None:
+                run(i)
+            elif exc is not None:
+                raise exc
+            else:
+                yield result
+    finally:
+        with cond:
+            take = n  # the helper takes no more pieces
+            cond.notify()
+        thread.join()
 
 
 def block_mean_m2(values, total: int) -> tuple[float, float]:
@@ -87,13 +142,16 @@ def block_mean_m2(values, total: int) -> tuple[float, float]:
     return mean, m2
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer, applied in place to a uint64 array."""
-    x ^= x >> np.uint64(30)
+def _mix64(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer, in place on uint64 x, shifting into t."""
+    np.right_shift(x, np.uint64(30), out=t)
+    x ^= t
     x *= _MIX1
-    x ^= x >> np.uint64(27)
+    np.right_shift(x, np.uint64(27), out=t)
+    x ^= t
     x *= _MIX2
-    x ^= x >> np.uint64(31)
+    np.right_shift(x, np.uint64(31), out=t)
+    x ^= t
     return x
 
 
@@ -114,22 +172,32 @@ def uniform_stream(seed: int, start: int, count: int) -> np.ndarray:
     if start + count > _INDEX_LIMIT:
         raise ValueError(f"stream indices must stay below 2**64 - 1, got start {start} "
                          f"and count {count}")
-    bits = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    bits *= _GAMMA
-    bits += s
-    _mix64(bits)
+    # counter k is seed + gamma*(start+k+1) mod 2**64: one add of an offset
+    # to _STEPS per BLOCK draws, wrapping as uint64 does
+    bits = np.empty(count, dtype=np.uint64)
+    for lo in range(0, count, BLOCK):
+        hi = min(lo + BLOCK, count)
+        offset = np.uint64((int(s) + int(_GAMMA) * (start + lo)) % 2 ** 64)
+        np.add(_STEPS[:hi - lo], offset, out=bits[lo:hi])
+    u = np.empty(count)
+    _mix64(bits, u.view(np.uint64))
     # top 53 bits, centered in the bin; the top bin's center 1 - 2**-54
-    # rounds up to 1.0, so it is clamped to the largest double below 1
+    # rounds up to 1.0, so it is clamped to the largest double below 1.
+    # Below 2**53 the int64 view converts exactly, and faster than uint64.
     bits >>= np.uint64(11)
-    u = bits.astype(np.float64)
+    u[...] = bits.view(np.int64)
     u += 0.5
     u *= _INV_2_53
     return np.minimum(u, _BELOW_ONE, out=u)
 
 
 def normal_stream(seed: int, start: int, count: int) -> np.ndarray:
-    """Standard normal draws by inverse-CDF transform of uniform_stream."""
-    return norm_cdf_inv(uniform_stream(seed, start, count))
+    """Standard normal draws by inverse-CDF transform of uniform_stream: ndtri
+    runs in place on uniforms that lie inside (0, 1) by construction."""
+    from scipy.special import ndtri
+
+    u = uniform_stream(seed, start, count)
+    return ndtri(u, out=u)
 
 
 def poisson_law(mean: float) -> tuple[list[float], list[float]]:
@@ -177,4 +245,5 @@ def substream(seed: int, stream: int) -> int:
         raise ValueError("stream index must be nonnegative")
     with np.errstate(over="ignore"):
         salted = (s + np.uint64(1)) * _STREAM_SALT + np.uint64(stream) * _GAMMA
-        return int(_mix64(np.atleast_1d(salted))[0])
+        x = np.atleast_1d(salted)
+        return int(_mix64(x, np.empty_like(x))[0])

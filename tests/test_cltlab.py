@@ -124,15 +124,21 @@ class TestHelperThread:
         monkeypatch.setattr(rng, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(cltlab, "_CHUNK_ELEMENTS", 64)
         sample = IncrementModel.sample
+        caller = threading.current_thread()
+        helper_took_one = threading.Event()
         raised_on = []
 
-        def failing_odd_chunk(self, h, seed, start, count):
-            if start // 64 % 2 == 1:
+        def failing_first_helper_chunk(self, h, seed, start, count):
+            if threading.current_thread() is caller:
+                # the caller's chunk 0 waits, so the helper takes chunk 1
+                helper_took_one.wait(timeout=10.0)
+            elif not helper_took_one.is_set():
                 raised_on.append(threading.current_thread())
+                helper_took_one.set()
                 raise RuntimeError(f"chunk at {start} failed")
             return sample(self, h, seed, start, count)
 
-        monkeypatch.setattr(IncrementModel, "sample", failing_odd_chunk)
+        monkeypatch.setattr(IncrementModel, "sample", failing_first_helper_chunk)
         before = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="chunk at 64 failed"):
             sample_row_sum(ArraySpec(NORMAL, 1.0, 8, 16, 29))
