@@ -35,9 +35,6 @@ LINDEBERG_SMALL_FRACTION = 0.1
 VARIANCE_MIN_SAMPLES = 2
 KS_MIN_SAMPLES = 100
 
-# stream draws sampled per chunk (at least one whole row): rows are never
-# split across chunks, so each row sum is one whole-row reduction
-_CHUNK_ELEMENTS = BLOCK
 # increments per row in the sums whose variance estimate_variance takes
 VARIANCE_ROWS = 16
 
@@ -150,7 +147,9 @@ def sample_row_sum(spec: ArraySpec) -> np.ndarray:
     """
     h = spec.horizon / spec.rows
     out = np.empty(spec.samples)
-    rows_per_chunk = max(1, _CHUNK_ELEMENTS // spec.rows)
+    # BLOCK draws per chunk, at least one whole row: rows are never split
+    # across chunks, so each row sum is one whole-row reduction
+    rows_per_chunk = max(1, BLOCK // spec.rows)
 
     def fill(j0: int, j1: int) -> None:
         draws = spec.model.sample(h, spec.seed, j0 * spec.rows, (j1 - j0) * spec.rows)

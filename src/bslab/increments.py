@@ -40,13 +40,12 @@ class IncrementModel:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown increment model kind {self.kind!r}; expected one of {KINDS}")
-        if not (self.per_unit_variance > 0.0 and math.isfinite(self.per_unit_variance)):
-            raise ValueError(f"per_unit_variance must be positive, got {self.per_unit_variance}")
         if self.kind == "poisson_jump":
             if self.jump_size is None or self.intensity is None:
                 raise ValueError("poisson_jump requires jump_size and intensity")
-            if self.jump_size <= 0.0 or self.intensity <= 0.0:
-                raise ValueError("jump_size and intensity must be positive")
+            for name, value in (("jump_size", self.jump_size), ("intensity", self.intensity)):
+                if not value > 0.0:
+                    raise ValueError(f"{name} must be positive, got {value}")
             expected = self.jump_size ** 2 * self.intensity
             if not math.isclose(self.per_unit_variance, expected, rel_tol=1e-12):
                 raise ValueError(
@@ -54,6 +53,8 @@ class IncrementModel:
                     f"jump_size^2 * intensity = {expected}")
         elif self.jump_size is not None or self.intensity is not None:
             raise ValueError(f"jump parameters only apply to poisson_jump, not {self.kind}")
+        if not (self.per_unit_variance > 0.0 and math.isfinite(self.per_unit_variance)):
+            raise ValueError(f"per_unit_variance must be positive, got {self.per_unit_variance}")
 
     # -- factories ---------------------------------------------------------
 
@@ -86,10 +87,13 @@ class IncrementModel:
     # -- analytic moments ---------------------------------------------------
 
     def variance(self, h: float) -> float:
-        """Analytic variance of one increment over [0, h]."""
-        if h <= 0.0:
-            raise ValueError(f"interval length must be positive, got {h}")
-        return self.per_unit_variance * h
+        """Analytic variance of one increment over [0, h]; ValueError unless it
+        is a positive finite float (h <= 0, underflow and overflow all fail)."""
+        v = self.per_unit_variance * h
+        if not (v > 0.0 and math.isfinite(v)):
+            raise ValueError(f"one increment's variance {self.per_unit_variance} * {h} = {v} "
+                             "must be positive and finite")
+        return v
 
     def lindeberg_tail(self, h: float, epsilon: float) -> float | None:
         """E[Z^2; |Z| > epsilon] for one increment Z over [0, h].
@@ -129,8 +133,7 @@ class IncrementModel:
         Pure function of (seed, index): batch decomposition cannot change
         the values.
         """
-        if h <= 0.0:
-            raise ValueError(f"interval length must be positive, got {h}")
+        s = math.sqrt(self.variance(h))
         if self.kind == "poisson_jump":
             mu = self.intensity * h
             counts = poisson_stream(seed, start, count, mu)
@@ -139,7 +142,6 @@ class IncrementModel:
             return counts
 
         # in place, in the order of the formula beside each kind
-        s = math.sqrt(self.variance(h))
         if self.kind == "normal":
             z = normal_stream(seed, start, count)
             z *= s  # s * z

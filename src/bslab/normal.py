@@ -49,11 +49,12 @@ def norm_cdf(x):
 
 
 def norm_pdf(x):
-    """Standard normal density exp(-x^2/2)/sqrt(2*pi); strictly positive."""
+    """Standard normal density exp(-x^2/2)/sqrt(2*pi); 0 once exp underflows."""
     import numpy as np
 
     arr = _as_array(x, "norm_pdf")
-    out = np.exp(-0.5 * arr * arr) * _INV_SQRT_2PI
+    with np.errstate(over="ignore"):  # x*x is inf past |x| ~ 1.3e154: exp(-inf) = 0 is exact
+        out = np.exp(-0.5 * arr * arr) * _INV_SQRT_2PI
     return float(out) if arr.ndim == 0 else out
 
 

@@ -4,13 +4,15 @@ The generator is SplitMix64 evaluated at an arbitrary counter position:
 draw i mixes the state seed + (i+1)*golden_gamma through the 64-bit
 finalizer. With no sequential state, any batch decomposition over the index
 range gives bit-identical draws. Every sampler therefore cuts its range into
-BLOCK-sized pieces with map_blocks: when a second CPU is available, the
-calling thread and one helper each take the next untaken piece (numpy and
-scipy.special release the GIL while they work), and the results come back
-in piece order; block_mean_m2 merges per-piece moments in that order, so no
-result depends on the threads. A block of draws makes two arrays and
-holds the GIL briefly: the counters are one add to a precomputed table, and
-the mixing and the inverse normal CDF run in place.
+BLOCK-sized pieces with map_blocks: when a second CPU is available, a
+one-thread executor runs the queued pieces in order while the calling
+thread claims, by Future.cancel(), any it would otherwise wait behind
+(numpy and scipy.special release the GIL while they work). Each piece runs
+once and the results come back in piece order; block_mean_m2 merges
+per-piece moments in that order, so no result depends on the threads. A
+block of draws makes two arrays and holds the GIL briefly: the counters are
+one add to a precomputed table, and the mixing and the inverse normal CDF
+run in place.
 poisson_law is the one Poisson table: poisson_stream samples its cdf and
 the poisson_jump Lindeberg tail sums its pmf.
 """
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 
 import numpy as np
 
@@ -51,72 +52,54 @@ def map_blocks(fn, total: int, step: int = BLOCK):
     """Yield fn(lo, hi) for the pieces [lo, hi) that cut range(total) every
     step indices, in order; the last piece may be short.
 
-    The calling thread, starting with piece 0, and one helper thread each
-    take the next untaken piece; the caller takes one rather than wait for a
-    late result. No piece is taken _AHEAD or more past the next one to
-    yield. With one usable CPU or fewer than two pieces everything runs
-    serially. An exception raised by fn on either thread reaches the caller
-    in piece order, and the helper has stopped by the time the generator
-    finishes or is closed.
+    The calling thread runs piece 0 while a one-thread executor works
+    through a queue of the next pieces in order. While the next piece to
+    yield is unfinished, the caller cancels the lowest queued piece the
+    helper has not started and runs it itself: cancel() succeeds only on a
+    piece the helper has not started, so each piece runs exactly once. No
+    piece is taken _AHEAD or more past the next one to yield. With one
+    usable CPU or fewer than two pieces everything runs serially. An
+    exception raised by fn on either thread reaches the caller in piece
+    order, and the helper has stopped by the time the generator finishes or
+    is closed.
     """
     pieces = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
     n = len(pieces)
     if n < 2 or _usable_cpus() < 2:
         yield from (fn(lo, hi) for lo, hi in pieces)
         return
-    cond = threading.Condition(threading.Lock())
-    done = {}  # finished piece -> (result, exception)
-    take, want = 1, 0  # next piece to take, next piece to yield
+    from concurrent.futures import ThreadPoolExecutor
 
-    def claim():
-        # under cond: the next untaken piece inside the window, or None
-        nonlocal take
-        if take >= min(n, want + _AHEAD):
-            return None
-        take += 1
-        return take - 1
+    mine = {}  # piece the caller ran -> (result, exception)
 
     def run(i):
         try:
-            outcome = fn(*pieces[i]), None
+            mine[i] = fn(*pieces[i]), None
         except BaseException as exc:  # re-raised by the caller, in piece order
-            outcome = None, exc
-        with cond:
-            done[i] = outcome
-            cond.notify()
+            mine[i] = None, exc
 
-    def helper():
-        while True:
-            with cond:
-                while (i := claim()) is None:
-                    if take == n:
-                        return
-                    cond.wait()
-            run(i)
-
-    thread = threading.Thread(target=helper, daemon=True)
-    thread.start()
+    pool = ThreadPoolExecutor(1)
     try:
+        queued = {i: pool.submit(fn, *pieces[i]) for i in range(1, min(n, _AHEAD))}
         run(0)
-        while want < n:
-            with cond:
-                i = None
-                while want not in done and (i := claim()) is None:
-                    cond.wait()
+        for want in range(n):
+            while want not in mine and not queued[want].done():
+                i = next((i for i in queued if queued[i].cancel()), None)
                 if i is None:
-                    (result, exc), want = done.pop(want), want + 1
-                    cond.notify()
-            if i is not None:
+                    break  # the helper has started every queued piece: wait below
+                del queued[i]
                 run(i)
-            elif exc is not None:
-                raise exc
+            if want in mine:
+                result, exc = mine.pop(want)
+                if exc is not None:
+                    raise exc
             else:
-                yield result
+                result = queued.pop(want).result()
+            if want + _AHEAD < n:
+                queued[want + _AHEAD] = pool.submit(fn, *pieces[want + _AHEAD])
+            yield result
     finally:
-        with cond:
-            take = n  # the helper takes no more pieces
-            cond.notify()
-        thread.join()
+        pool.shutdown(cancel_futures=True)
 
 
 def block_mean_m2(values, total: int) -> tuple[float, float]:

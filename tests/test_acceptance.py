@@ -219,7 +219,7 @@ def test_determinism(monkeypatch):
         others_ok = others_ok and base == _emit(argv)
         # different internal chunking emulates a different parallel split
         with monkeypatch.context() as patch:
-            patch.setattr(cltlab, "_CHUNK_ELEMENTS", 512)
+            patch.setattr(cltlab, "BLOCK", 512)
             chunk_ok = chunk_ok and base == _emit(argv)
 
     csv_ok = _emit(mc_args[:-2] + ["--format", "csv"]) == \

@@ -311,6 +311,28 @@ class TestCommandTable:
         out, err = capsys.readouterr()
         assert out == "" and "NaN" in err
 
+    @pytest.mark.parametrize("argv", [
+        # the n=1000 cell variance underflows to 0
+        ["lindeberg", "--horizon", "1e-320", "--n-ladder", "1,1000"],
+        ["clt-demo", "--horizon", "1e-320", "--n-ladder", "1,1000"],
+        # the cell variance overflows to inf
+        ["lindeberg", "--variance", "1e308", "--horizon", "1e10"],
+        ["clt-demo", "--variance", "1e308", "--horizon", "1e10"],
+    ], ids=["lindeberg_underflow", "clt_demo_underflow", "lindeberg_overflow",
+            "clt_demo_overflow"])
+    def test_unrepresentable_cell_variance_exits_two_with_one_line(self, argv, capsys):
+        flags = ["--model", "normal", "--variance", "0.0225", "--samples", "200", "--seed", "1"]
+        assert main(argv[:1] + flags + argv[1:]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert "variance" in err and "Traceback" not in err and "Warning" not in err
+
+    def test_poisson_jump_names_its_bad_intensity(self, capsys):
+        assert main(["lindeberg", "--model", "poisson_jump", "--jump-size", "1",
+                     "--intensity", "-2", "--samples", "200", "--seed", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "intensity must be positive" in err and "per_unit_variance" not in err
+
     def test_zero_volatility_json_keeps_infinite_d(self):
         code, text = run_cli(["price", "--spot", "100", "--strike", "90", "--rate", "0.05",
                               "--expiry", "1", "--vol", "0", "--format", "json"])
@@ -347,6 +369,10 @@ class TestLazyImports:
     def test_import_starts_no_thread(self):
         run_python("import threading\nimport bslab.cltlab, bslab.montecarlo\n"
                    "assert threading.active_count() == 1, threading.enumerate()\n")
+
+    def test_rng_import_leaves_the_executor_unloaded(self):
+        run_python("import sys\nimport bslab.rng\n"
+                   "assert 'concurrent.futures' not in sys.modules\n")
 
     def test_exports_are_their_home_module_objects(self):
         import bslab

@@ -74,7 +74,7 @@ class TestSampleRowSum:
         spec = ArraySpec(TWO_POINT, 1.0, 64, 3000, 9)
         base = sample_row_sum(spec)
         assert np.array_equal(base, sample_row_sum(spec))
-        monkeypatch.setattr(cltlab, "_CHUNK_ELEMENTS", 1000)
+        monkeypatch.setattr(cltlab, "BLOCK", 1000)
         assert np.array_equal(base, sample_row_sum(spec))
 
     def test_memory_stays_within_a_few_blocks(self):
@@ -102,7 +102,7 @@ class TestHelperThread:
     @pytest.mark.parametrize("samples", [50, 60], ids=["odd_chunks", "even_chunks"])
     def test_row_sums_match_serial(self, monkeypatch, model, samples):
         # 10 rows of 64 per chunk: 5 or 6 chunks
-        monkeypatch.setattr(cltlab, "_CHUNK_ELEMENTS", 640)
+        monkeypatch.setattr(cltlab, "BLOCK", 640)
         spec = ArraySpec(model, 1.0, 64, samples, 17)
         pooled, serial = pooled_and_serial(monkeypatch, lambda: sample_row_sum(spec))
         assert pooled.tobytes() == serial.tobytes()
@@ -122,7 +122,7 @@ class TestHelperThread:
 
     def test_helper_error_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(rng, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(cltlab, "_CHUNK_ELEMENTS", 64)
+        monkeypatch.setattr(cltlab, "BLOCK", 64)
         sample = IncrementModel.sample
         caller = threading.current_thread()
         helper_took_one = threading.Event()
@@ -149,7 +149,7 @@ class TestHelperThread:
 
     def test_many_small_chunks_under_frequent_switching(self, monkeypatch):
         # 500 chunks of 4 rows; switch threads as often as the interpreter can
-        monkeypatch.setattr(cltlab, "_CHUNK_ELEMENTS", 16)
+        monkeypatch.setattr(cltlab, "BLOCK", 16)
         spec = ArraySpec(IncrementModel.centered_exponential(0.0225), 1.0, 4, 2000, 31)
         monkeypatch.setattr(rng, "_usable_cpus", lambda: 1)
         serial = sample_row_sum(spec)

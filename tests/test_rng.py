@@ -313,14 +313,22 @@ def test_map_blocks_helper_never_outlives_the_call(monkeypatch, ending):
 
 def test_map_blocks_from_three_callers_under_frequent_switching(monkeypatch):
     # three callers, each with its own helper: six threads on at most two
-    # CPUs, switching as often as the interpreter can; a lost update of the
-    # shared cursor would repeat or skip a piece
+    # CPUs, switching as often as the interpreter can; a lost claim race
+    # would repeat or skip a piece, and a repeat can still return equal
+    # results, so every (caller, piece) call is counted
     monkeypatch.setattr(rng, "_usable_cpus", lambda: 2)
     expected = [(lo, min(lo + 3, 997)) for lo in range(0, 997, 3)]
     results = {}
+    lock = threading.Lock()
+    calls = {}  # (caller, piece start) -> calls of fn
 
     def consume(k):
-        results[k] = list(map_blocks(lambda lo, hi: (lo, hi), 997, step=3))
+        def fn(lo, hi):
+            with lock:
+                calls[k, lo] = calls.get((k, lo), 0) + 1
+            return lo, hi
+
+        results[k] = list(map_blocks(fn, 997, step=3))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -329,6 +337,7 @@ def test_map_blocks_from_three_callers_under_frequent_switching(monkeypatch):
         runs = 0
         while runs == 0 or time.monotonic() < deadline:
             results.clear()
+            calls.clear()
             callers = [threading.Thread(target=consume, args=(k,)) for k in range(3)]
             for t in callers:
                 t.start()
@@ -336,6 +345,7 @@ def test_map_blocks_from_three_callers_under_frequent_switching(monkeypatch):
                 t.join(timeout=30.0)
                 assert not t.is_alive()
             assert results == {k: expected for k in range(3)}
+            assert calls == {(k, lo): 1 for k in range(3) for lo, _ in expected}
             runs += 1
     finally:
         sys.setswitchinterval(interval)
