@@ -308,6 +308,10 @@ def execute(cfg: RunConfig, out=None) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"bslab {cfg.command}: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:  # backstop: an input overflowed or divided by zero
+        print(f"bslab {cfg.command}: numerical failure ({type(exc).__name__}: {exc}); "
+              "the inputs are outside the computable range", file=sys.stderr)
+        return 2
     if cfg.output_path is not None:
         try:
             with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:

@@ -141,9 +141,9 @@ def sample_row_sum(spec: ArraySpec) -> np.ndarray:
 
     Sample j consumes stream indices [j*rows, (j+1)*rows), so the output is
     a pure function of spec (seed included) no matter how sampling is
-    chunked internally. Chunks of whole rows run on the calling thread plus
-    one helper when a second CPU is available (rng.map_blocks), each writing
-    its own slice of the output, so the bits are the same either way.
+    chunked internally. Chunks of whole rows run on two pool workers when a
+    second CPU is available (rng.map_blocks), each writing its own slice of
+    the output, so the bits are the same either way.
     """
     h = spec.horizon / spec.rows
     out = np.empty(spec.samples)
@@ -239,24 +239,30 @@ def variance_linearity_check(model: IncrementModel, horizons, samples: int,
     per-horizon variance estimator noise through the fit weights.
     """
     ts = check_horizons(horizons)
-    est = [estimate_variance(model, t, samples, substream(seed, k)) for k, t in enumerate(ts)]
-    v = np.array([e[0] for e in est])
-    se = np.array([e[1] for e in est])
-    t_arr = np.array(ts)
-
-    t_bar = t_arr.mean()
-    sxx = float(np.sum((t_arr - t_bar) ** 2))
-    c = (t_arr - t_bar) / sxx
-    slope = float(np.sum(c * v))
-    intercept = float(v.mean() - slope * t_bar)
-    slope_se = math.sqrt(float(np.sum((c * se) ** 2)))
-    intercept_se = math.sqrt(float(np.sum(((1.0 / len(ts) - t_bar * c) * se) ** 2)))
-    residuals = v - (slope * t_arr + intercept)
-    return VarianceLinearityResult(
+    # an overflow or a zero sxx leaves a non-finite number, rejected below
+    with np.errstate(all="ignore"):
+        est = [estimate_variance(model, t, samples, substream(seed, k))
+               for k, t in enumerate(ts)]
+        v = np.array([e[0] for e in est])
+        se = np.array([e[1] for e in est])
+        t_arr = np.array(ts)
+        t_bar = t_arr.mean()
+        sxx = float(np.sum((t_arr - t_bar) ** 2))
+        c = (t_arr - t_bar) / sxx
+        slope = float(np.sum(c * v))
+        intercept = float(v.mean() - slope * t_bar)
+        slope_se = math.sqrt(float(np.sum((c * se) ** 2)))
+        intercept_se = math.sqrt(float(np.sum(((1.0 / len(ts) - t_bar * c) * se) ** 2)))
+        residuals = v - (slope * t_arr + intercept)
+    res = VarianceLinearityResult(
         slope=slope, intercept=intercept, max_residual=float(np.max(np.abs(residuals))),
         slope_std_error=slope_se, intercept_std_error=intercept_se,
         horizons=ts, variances=tuple(float(x) for x in v),
         variance_std_errors=tuple(float(x) for x in se))
+    if not all(map(math.isfinite, (*res.variances, *res.variance_std_errors, slope, intercept,
+                                   slope_se, intercept_se, res.max_residual))):
+        raise ValueError(f"the variance fit over horizons {list(ts)} is not finite in doubles")
+    return res
 
 
 def _lindeberg_decreasing(values: tuple[float, ...], row_variance: float) -> bool:

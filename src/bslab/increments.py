@@ -23,6 +23,22 @@ from .rng import normal_stream, poisson_law, poisson_stream, uniform_stream
 KINDS = ("two_point", "uniform", "centered_exponential", "normal", "poisson_jump")
 
 
+def _jump_variance(jump_size: float, intensity: float) -> float:
+    """jump_size^2 * intensity; ValueError unless both are positive and the
+    product is a positive finite float (overflow and underflow both fail)."""
+    for name, value in (("jump_size", jump_size), ("intensity", intensity)):
+        if not value > 0.0:
+            raise ValueError(f"{name} must be positive, got {value}")
+    try:
+        v = jump_size ** 2 * intensity
+    except OverflowError:  # a float power past the largest double raises
+        v = math.inf
+    if not (v > 0.0 and math.isfinite(v)):
+        raise ValueError(f"jump_size^2 * intensity = {jump_size}^2 * {intensity} must be "
+                         f"positive and finite, got {v}")
+    return v
+
+
 @dataclass(frozen=True)
 class IncrementModel:
     """A distribution family for triangular-array entries.
@@ -43,10 +59,7 @@ class IncrementModel:
         if self.kind == "poisson_jump":
             if self.jump_size is None or self.intensity is None:
                 raise ValueError("poisson_jump requires jump_size and intensity")
-            for name, value in (("jump_size", self.jump_size), ("intensity", self.intensity)):
-                if not value > 0.0:
-                    raise ValueError(f"{name} must be positive, got {value}")
-            expected = self.jump_size ** 2 * self.intensity
+            expected = _jump_variance(self.jump_size, self.intensity)
             if not math.isclose(self.per_unit_variance, expected, rel_tol=1e-12):
                 raise ValueError(
                     f"per_unit_variance {self.per_unit_variance} must equal "
@@ -81,7 +94,7 @@ class IncrementModel:
     @classmethod
     def poisson_jump(cls, jump_size: float, intensity: float) -> "IncrementModel":
         """jump_size * (Poisson(intensity*h) - intensity*h): compensated jumps."""
-        return cls("poisson_jump", jump_size ** 2 * intensity,
+        return cls("poisson_jump", _jump_variance(jump_size, intensity),
                    jump_size=jump_size, intensity=intensity)
 
     # -- analytic moments ---------------------------------------------------

@@ -4,15 +4,14 @@ The generator is SplitMix64 evaluated at an arbitrary counter position:
 draw i mixes the state seed + (i+1)*golden_gamma through the 64-bit
 finalizer. With no sequential state, any batch decomposition over the index
 range gives bit-identical draws. Every sampler therefore cuts its range into
-BLOCK-sized pieces with map_blocks: when a second CPU is available, a
-one-thread executor runs the queued pieces in order while the calling
-thread claims, by Future.cancel(), any it would otherwise wait behind
-(numpy and scipy.special release the GIL while they work). Each piece runs
-once and the results come back in piece order; block_mean_m2 merges
-per-piece moments in that order, so no result depends on the threads. A
-block of draws makes two arrays and holds the GIL briefly: the counters are
-one add to a precomputed table, and the mixing and the inverse normal CDF
-run in place.
+BLOCK-sized pieces with map_blocks: when a second CPU is available, two
+executor workers run the pieces in order while the calling thread only
+waits for the oldest in a bounded window (numpy and scipy.special release
+the GIL while they work). Each piece runs once and the results come back
+in piece order; block_mean_m2 merges per-piece moments in that order, so
+no result depends on the threads. A block of draws makes two arrays and
+holds the GIL briefly: the counters are one add to a precomputed table,
+and the mixing and the inverse normal CDF run in place.
 poisson_law is the one Poisson table: poisson_stream samples its cdf and
 the poisson_jump Lindeberg tail sums its pmf.
 """
@@ -37,7 +36,7 @@ _INDEX_LIMIT = 2 ** 64 - 1
 BLOCK = 65_536
 # gamma*(k+1) for k < BLOCK: a block's counters are one add away from it
 _STEPS = np.arange(1, BLOCK + 1, dtype=np.uint64) * _GAMMA
-# most map_blocks pieces taken (running or finished) but not yet yielded
+# map_blocks pieces pending while its consumer holds a result (one more while it waits)
 _AHEAD = 4
 
 
@@ -52,52 +51,29 @@ def map_blocks(fn, total: int, step: int = BLOCK):
     """Yield fn(lo, hi) for the pieces [lo, hi) that cut range(total) every
     step indices, in order; the last piece may be short.
 
-    The calling thread runs piece 0 while a one-thread executor works
-    through a queue of the next pieces in order. While the next piece to
-    yield is unfinished, the caller cancels the lowest queued piece the
-    helper has not started and runs it itself: cancel() succeeds only on a
-    piece the helper has not started, so each piece runs exactly once. No
-    piece is taken _AHEAD or more past the next one to yield. With one
-    usable CPU or fewer than two pieces everything runs serially. An
-    exception raised by fn on either thread reaches the caller in piece
-    order, and the helper has stopped by the time the generator finishes or
-    is closed.
+    Two executor workers run the pieces, submitted lazily in order; the
+    calling thread only waits, yielding the oldest result once more than
+    _AHEAD are pending, so memory stays bounded in the number of pieces.
+    With one usable CPU or fewer than two pieces everything runs serially.
+    An exception from fn reaches the caller in piece order, and the workers
+    have stopped by the time the generator finishes or is closed.
     """
-    pieces = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-    n = len(pieces)
-    if n < 2 or _usable_cpus() < 2:
-        yield from (fn(lo, hi) for lo, hi in pieces)
+    bounds = ((lo, min(lo + step, total)) for lo in range(0, total, step))
+    if total <= step or _usable_cpus() < 2:
+        yield from (fn(lo, hi) for lo, hi in bounds)
         return
+    from collections import deque
     from concurrent.futures import ThreadPoolExecutor
 
-    mine = {}  # piece the caller ran -> (result, exception)
-
-    def run(i):
-        try:
-            mine[i] = fn(*pieces[i]), None
-        except BaseException as exc:  # re-raised by the caller, in piece order
-            mine[i] = None, exc
-
-    pool = ThreadPoolExecutor(1)
+    pool = ThreadPoolExecutor(2)
+    pending = deque()
     try:
-        queued = {i: pool.submit(fn, *pieces[i]) for i in range(1, min(n, _AHEAD))}
-        run(0)
-        for want in range(n):
-            while want not in mine and not queued[want].done():
-                i = next((i for i in queued if queued[i].cancel()), None)
-                if i is None:
-                    break  # the helper has started every queued piece: wait below
-                del queued[i]
-                run(i)
-            if want in mine:
-                result, exc = mine.pop(want)
-                if exc is not None:
-                    raise exc
-            else:
-                result = queued.pop(want).result()
-            if want + _AHEAD < n:
-                queued[want + _AHEAD] = pool.submit(fn, *pieces[want + _AHEAD])
-            yield result
+        for lo, hi in bounds:
+            pending.append(pool.submit(fn, lo, hi))
+            if len(pending) > _AHEAD:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
     finally:
         pool.shutdown(cancel_futures=True)
 

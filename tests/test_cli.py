@@ -333,6 +333,60 @@ class TestCommandTable:
         err = capsys.readouterr().err
         assert "intensity must be positive" in err and "per_unit_variance" not in err
 
+    @pytest.mark.parametrize("jump_size, got", [("1e200", "inf"), ("1e-200", "0.0")],
+                             ids=["overflow", "underflow"])
+    def test_unrepresentable_jump_variance_exits_one_with_one_line(self, jump_size, got,
+                                                                   capsys):
+        assert main(["var-linearity", "--model", "poisson_jump", "--jump-size", jump_size,
+                     "--intensity", "2", "--samples", "200", "--seed", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("jump_size^2 * intensity") and err.endswith(f"got {got}\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("variance, horizons", [
+        # the row sums at t = 1e7 have variance 1e307: var() and the fourth moment overflow
+        ("1e300", "1,2,1e7"),
+        # the spread of the horizons squares to 0, and the fit divides by it
+        ("1", "1e-300,2e-300,3e-300"),
+    ], ids=["overflow", "zero_spread"])
+    def test_non_finite_variance_fit_exits_two_with_one_line(self, variance, horizons, fmt,
+                                                             capsys):
+        # warnings are errors here, so none may escape
+        assert main(["var-linearity", "--model", "normal", "--variance", variance,
+                     "--samples", "200", "--seed", "1", "--horizons", horizons,
+                     "--format", fmt]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("bslab var-linearity: the variance fit over horizons")
+        assert "Warning" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("exc", [OverflowError("math range error"),
+                                     ZeroDivisionError("float division by zero")])
+    def test_arithmetic_error_exits_two_with_one_line(self, monkeypatch, exc, capsys):
+        import bslab.pricing as pricing
+
+        def failing(spec):
+            raise exc
+
+        monkeypatch.setattr(pricing, "bs_call_price", failing)
+        assert main(PRICE_ARGS) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"bslab price: numerical failure ({type(exc).__name__}: {exc})")
+
+    @pytest.mark.parametrize("argv", [
+        ["price", "--spot", "50", "--strike", "52", "--rate", "-1000", "--expiry", "1",
+         "--vol", "0.15"],
+        ["tree", "--spot", "50", "--strike", "52", "--rate", "0.04", "--expiry", "1e-300",
+         "--vol", "0.15", "--steps", "10"],
+    ], ids=["price_rate_overflow", "tree_expiry_underflow"])
+    def test_unguarded_arithmetic_failure_exits_two_with_one_line(self, argv, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert "numerical failure" in err and "Traceback" not in err
+
     def test_zero_volatility_json_keeps_infinite_d(self):
         code, text = run_cli(["price", "--spot", "100", "--strike", "90", "--rate", "0.05",
                               "--expiry", "1", "--vol", "0", "--format", "json"])

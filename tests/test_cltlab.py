@@ -25,7 +25,7 @@ KIND_MODELS = [IncrementModel.two_point(0.0225), IncrementModel.uniform(0.0225),
 
 
 def pooled_and_serial(monkeypatch, run):
-    """run() with the helper thread in use (as on two CPUs), then forced serial."""
+    """run() with the two pool workers in use (as on two CPUs), then forced serial."""
     monkeypatch.setattr(rng, "_usable_cpus", lambda: 2)
     pooled = run()
     monkeypatch.setattr(rng, "_usable_cpus", lambda: 1)
@@ -95,8 +95,8 @@ class TestSampleRowSum:
 
 
 class TestHelperThread:
-    """Blocks split between the calling thread and the helper give the
-    serial path's bits."""
+    """Blocks split between the two pool workers give the serial path's
+    bits."""
 
     @pytest.mark.parametrize("model", KIND_MODELS, ids=lambda m: m.kind)
     @pytest.mark.parametrize("samples", [50, 60], ids=["odd_chunks", "even_chunks"])
@@ -124,25 +124,19 @@ class TestHelperThread:
         monkeypatch.setattr(rng, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(cltlab, "BLOCK", 64)
         sample = IncrementModel.sample
-        caller = threading.current_thread()
-        helper_took_one = threading.Event()
         raised_on = []
 
-        def failing_first_helper_chunk(self, h, seed, start, count):
-            if threading.current_thread() is caller:
-                # the caller's chunk 0 waits, so the helper takes chunk 1
-                helper_took_one.wait(timeout=10.0)
-            elif not helper_took_one.is_set():
+        def failing_second_chunk(self, h, seed, start, count):
+            if start == 64:
                 raised_on.append(threading.current_thread())
-                helper_took_one.set()
                 raise RuntimeError(f"chunk at {start} failed")
             return sample(self, h, seed, start, count)
 
-        monkeypatch.setattr(IncrementModel, "sample", failing_first_helper_chunk)
+        monkeypatch.setattr(IncrementModel, "sample", failing_second_chunk)
         before = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="chunk at 64 failed"):
             sample_row_sum(ArraySpec(NORMAL, 1.0, 8, 16, 29))
-        assert raised_on and raised_on[0] is not threading.current_thread()
+        assert len(raised_on) == 1 and raised_on[0] is not threading.current_thread()
         for thread in set(threading.enumerate()) - before:
             thread.join(timeout=10.0)
             assert not thread.is_alive()

@@ -32,6 +32,13 @@ def test_factory_validation():
         IncrementModel("normal", 1.0, jump_size=1.0)
     with pytest.raises(ValueError):
         IncrementModel("poisson_jump", 2.0)
+    # jump_size^2 * intensity overflowing in the power, underflowing, or
+    # overflowing in the product is named in one message
+    for jump_size, intensity in ((1e200, 2.0), (1e-200, 2.0), (1e10, 1e300)):
+        with pytest.raises(ValueError, match=r"jump_size\^2 \* intensity"):
+            IncrementModel.poisson_jump(jump_size, intensity)
+        with pytest.raises(ValueError, match=r"jump_size\^2 \* intensity"):
+            IncrementModel("poisson_jump", 1.0, jump_size=jump_size, intensity=intensity)
 
 
 def test_poisson_per_unit_variance_is_jump_squared_times_intensity():

@@ -88,8 +88,8 @@ def test_block_merge_matches_whole_array_moments():
 
 @pytest.mark.parametrize("paths", [BLOCK, 2 * BLOCK, 3 * BLOCK, 3 * BLOCK + 17])
 def test_helper_thread_changes_no_bits(monkeypatch, paths):
-    # blocks split between the calling thread and the helper (as on two
-    # CPUs) against the forced-serial path
+    # blocks split between the two pool workers (as on two CPUs) against
+    # the forced-serial path
     cfg = McConfig(paths=paths, seed=11)
     pooled, serial = pooled_and_serial(
         monkeypatch, lambda: repr((mc_price(EXAMPLE, cfg), mc_forward_check(EXAMPLE, cfg))))

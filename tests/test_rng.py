@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,7 +206,7 @@ def test_block_mean_m2_matches_one_piece_reduction(monkeypatch, total):
 
     x = values(0, total)
     runs = []
-    for cpus in (2, 1):  # helper on, then off
+    for cpus in (2, 1):  # pool on, then off
         monkeypatch.setattr(rng, "_usable_cpus", lambda: cpus)
         runs.append(block_mean_m2(values, total))
     assert runs[0] == runs[1]
@@ -230,32 +231,55 @@ def _helper_threads(before):
 
 def test_map_blocks_yields_in_order_when_pieces_finish_out_of_order(monkeypatch):
     monkeypatch.setattr(rng, "_usable_cpus", lambda: 2)
-    caller = threading.current_thread()
     finished = [threading.Event() for _ in range(12)]
-    helper_took_one = threading.Event()
-    helper_pieces = []
     order = []
 
     def fn(lo, hi):
         i = lo // 3
-        if threading.current_thread() is caller:
-            # the caller's piece 0 waits until the helper has taken a piece
-            assert helper_took_one.wait(timeout=10.0)
-        else:
-            helper_pieces.append(i)
-            helper_took_one.set()
-            if len(helper_pieces) <= 2 and i + 1 < 12:
-                # the helper's first two pieces finish after the next piece,
-                # which only the caller can run meanwhile
-                assert finished[i + 1].wait(timeout=10.0)
+        if i % 2 == 0 and i + 1 < 12:
+            # each even piece finishes after the odd piece behind it, which
+            # the other worker takes next
+            assert finished[i + 1].wait(timeout=10.0)
         order.append(i)
         finished[i].set()
         return lo, hi
 
     assert list(map_blocks(fn, 35, step=3)) == [(lo, min(lo + 3, 35)) for lo in range(0, 35, 3)]
     assert sorted(order) == list(range(12))
-    late = [i for i in helper_pieces[:2] if i + 1 < 12]
-    assert late and all(order.index(i + 1) < order.index(i) for i in late)
+    assert all(order.index(i + 1) < order.index(i) for i in range(0, 12, 2))
+
+
+def test_map_blocks_runs_two_pieces_at_once(monkeypatch):
+    # pieces 0 and 1 can only both pass the barrier if they run together
+    monkeypatch.setattr(rng, "_usable_cpus", lambda: 2)
+    barrier = threading.Barrier(2, timeout=10.0)
+    caller = threading.current_thread()
+    ran_on = set()
+
+    def fn(lo, hi):
+        ran_on.add(threading.current_thread())
+        if lo < 2:
+            barrier.wait()
+        return lo
+
+    assert list(map_blocks(fn, 6, step=1)) == list(range(6))
+    assert caller not in ran_on and len(ran_on) == 2
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "pooled"])
+def test_map_blocks_memory_stays_bounded_in_pieces(monkeypatch, cpus):
+    monkeypatch.setattr(rng, "_usable_cpus", lambda: cpus)
+    import concurrent.futures  # noqa: F401  (its import is not the call's memory)
+
+    tracemalloc.start()
+    try:
+        gen = map_blocks(lambda lo, hi: lo, 2 ** 20, step=1)
+        assert [next(gen) for _ in range(3)] == [0, 1, 2]
+        gen.close()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_map_blocks_holds_at_most_ahead_results(monkeypatch):
@@ -291,8 +315,10 @@ def test_map_blocks_holds_at_most_ahead_results(monkeypatch):
 def test_map_blocks_helper_never_outlives_the_call(monkeypatch, ending):
     monkeypatch.setattr(rng, "_usable_cpus", lambda: 2)
     before = set(threading.enumerate())
+    ran_on = set()
 
     def fn(lo, hi):
+        ran_on.add(threading.current_thread())
         if ending == "exception" and lo == 6:
             raise RuntimeError("piece 6 failed")
         time.sleep(0.001)
@@ -300,7 +326,7 @@ def test_map_blocks_helper_never_outlives_the_call(monkeypatch, ending):
 
     gen = map_blocks(fn, 20, step=1)
     assert next(gen) == 0
-    assert len(_helper_threads(before)) == 1
+    assert 1 <= len(_helper_threads(before)) <= 2
     if ending == "normal":
         assert list(gen) == list(range(1, 20))
     elif ending == "exception":
@@ -309,11 +335,12 @@ def test_map_blocks_helper_never_outlives_the_call(monkeypatch, ending):
     else:
         gen.close()
     assert _helper_threads(before) == []
+    assert 1 <= len(ran_on) <= 2 and threading.current_thread() not in ran_on
 
 
 def test_map_blocks_from_three_callers_under_frequent_switching(monkeypatch):
-    # three callers, each with its own helper: six threads on at most two
-    # CPUs, switching as often as the interpreter can; a lost claim race
+    # three callers, each with its own two workers: nine threads on at most two
+    # CPUs, switching as often as the interpreter can; a scheduling slip
     # would repeat or skip a piece, and a repeat can still return equal
     # results, so every (caller, piece) call is counted
     monkeypatch.setattr(rng, "_usable_cpus", lambda: 2)
