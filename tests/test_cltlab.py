@@ -1,4 +1,6 @@
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -25,7 +27,7 @@ KIND_MODELS = [IncrementModel.two_point(0.0225), IncrementModel.uniform(0.0225),
 
 
 def pooled_and_serial(monkeypatch, run):
-    """run() with the two pool workers in use (as on two CPUs), then forced serial."""
+    """run() with the helper thread in use (as on two CPUs), then forced serial."""
     monkeypatch.setattr(rng, "_usable_cpus", lambda: 2)
     pooled = run()
     monkeypatch.setattr(rng, "_usable_cpus", lambda: 1)
@@ -95,8 +97,8 @@ class TestSampleRowSum:
 
 
 class TestHelperThread:
-    """Blocks split between the two pool workers give the serial path's
-    bits."""
+    """Blocks split between the calling thread and the helper give the
+    serial path's bits."""
 
     @pytest.mark.parametrize("model", KIND_MODELS, ids=lambda m: m.kind)
     @pytest.mark.parametrize("samples", [50, 60], ids=["odd_chunks", "even_chunks"])
@@ -158,6 +160,36 @@ class TestHelperThread:
                 runs += 1
         finally:
             sys.setswitchinterval(interval)
+
+
+# warm up, then count minor page faults over one two_point row-sum call in a
+# process that has not imported scipy.stats (as in a CLI run)
+_FAULTS_PER_BLOCK = """
+import resource, sys
+import bslab.rng as rng
+from bslab.cltlab import ArraySpec, sample_row_sum
+from bslab.increments import IncrementModel
+rng._usable_cpus = lambda: {cpus}
+spec = ArraySpec(IncrementModel.two_point(0.0225), 1.0, 4096, 5000, 7)
+blocks = -(-spec.samples // (rng.BLOCK // spec.rows))
+sample_row_sum(spec)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+sample_row_sum(spec)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+assert "scipy.stats" not in sys.modules
+print(faults / blocks)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
+@pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "pooled"])
+def test_row_sums_reuse_their_scratch_instead_of_faulting(cpus):
+    # a block allocated afresh and handed back to the kernel costs 223
+    # minor faults; reused scratch costs none
+    done = subprocess.run([sys.executable, "-c", _FAULTS_PER_BLOCK.format(cpus=cpus)],
+                          check=True, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert float(done.stdout) < 8.0
 
 
 class TestMaxCellVariance:

@@ -109,6 +109,32 @@ def test_top_bin_draw_stays_below_one():
     assert np.isfinite(normal_stream(0, 8454462832853231295, 1)).all()
 
 
+def test_two_threads_drawing_at_once_get_the_serial_bits():
+    # each thread mixes its counters in its own scratch; a shared one would
+    # let one thread's counters overwrite the other's mid-block
+    keys = [(3, 5, 2 * BLOCK + 9), (4, BLOCK - 3, BLOCK + 1)]
+    serial = [uniform_stream(*key).tobytes() for key in keys]
+    mismatches = []
+
+    def draw(k):
+        for _ in range(20):
+            if uniform_stream(*keys[k]).tobytes() != serial[k]:
+                mismatches.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert mismatches == []
+
+
 _TOP = 2 ** 64 - 2
 _SEED_MAX = 2 ** 64 - 1
 # uniform_stream and normal_stream where the counter arithmetic must wrap as
@@ -263,7 +289,35 @@ def test_map_blocks_runs_two_pieces_at_once(monkeypatch):
         return lo
 
     assert list(map_blocks(fn, 6, step=1)) == list(range(6))
-    assert caller not in ran_on and len(ran_on) == 2
+    assert caller in ran_on and len(ran_on) == 2
+
+
+def test_map_blocks_caller_runs_a_queued_piece_rather_than_wait(monkeypatch):
+    # the helper's first piece finishes only after the caller's next piece
+    # has run: a caller that waited for it instead would time out
+    monkeypatch.setattr(rng, "_usable_cpus", lambda: 2)
+    caller = threading.current_thread()
+    helper_took_one = threading.Event()
+    caller_ran_next = threading.Event()
+    helper_pieces, caller_pieces = [], []
+
+    def fn(lo, hi):
+        if threading.current_thread() is caller:
+            if lo == 0:
+                # piece 0 waits, so the helper takes piece 1
+                assert helper_took_one.wait(timeout=10.0)
+            else:
+                caller_ran_next.set()
+            caller_pieces.append(lo)
+        else:
+            helper_pieces.append(lo)
+            if len(helper_pieces) == 1:
+                helper_took_one.set()
+                assert caller_ran_next.wait(timeout=10.0)
+        return lo
+
+    assert list(map_blocks(fn, 8, step=1)) == list(range(8))
+    assert helper_pieces[0] == 1 and caller_pieces[:2] == [0, 2]
 
 
 @pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "pooled"])
@@ -326,7 +380,7 @@ def test_map_blocks_helper_never_outlives_the_call(monkeypatch, ending):
 
     gen = map_blocks(fn, 20, step=1)
     assert next(gen) == 0
-    assert 1 <= len(_helper_threads(before)) <= 2
+    assert len(_helper_threads(before)) == 1
     if ending == "normal":
         assert list(gen) == list(range(1, 20))
     elif ending == "exception":
@@ -335,7 +389,7 @@ def test_map_blocks_helper_never_outlives_the_call(monkeypatch, ending):
     else:
         gen.close()
     assert _helper_threads(before) == []
-    assert 1 <= len(ran_on) <= 2 and threading.current_thread() not in ran_on
+    assert 1 <= len(ran_on) <= 2 and threading.current_thread() in ran_on
 
 
 def test_map_blocks_from_three_callers_under_frequent_switching(monkeypatch):

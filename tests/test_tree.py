@@ -17,6 +17,9 @@ def test_config_validation():
     for bad in (0, -3, 1.5, True):
         with pytest.raises(ValueError):
             TreeConfig(steps=bad)
+    with pytest.raises(ValueError, match=r"at most 10\*\*9, got 1000000001"):
+        TreeConfig(steps=10 ** 9 + 1)
+    assert TreeConfig(steps=10 ** 9).steps == 10 ** 9
 
 
 def test_one_step_martingale_identity():
