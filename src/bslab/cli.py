@@ -138,8 +138,12 @@ def _build_ladder(a, ks: bool) -> dict:
     # clt-demo runs a KS test on its row sums; lindeberg needs only a variance
     from . import cltlab
     cltlab.check_samples(a.samples, cltlab.KS_MIN_SAMPLES if ks else cltlab.VARIANCE_MIN_SAMPLES)
+    try:
+        ladder = [int(n) for n in a.n_ladder.split(",")]
+    except ValueError:
+        raise UsageError(f"--n-ladder takes comma-separated integers, got {a.n_ladder!r}") from None
     return {"array_spec": cltlab.ArraySpec(_build_model(a), a.horizon, 1, a.samples, a.seed),
-            "n_ladder": cltlab.check_ladder(a.n_ladder.split(","), a.horizon, a.epsilon),
+            "n_ladder": cltlab.check_ladder(ladder, a.horizon, a.epsilon),
             "epsilon": a.epsilon}
 
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from .increments import IncrementModel
 from .normal import norm_cdf
+from .pricing import require_count, require_positive
 from .rng import BLOCK, block_mean_m2, check_seed, map_blocks, substream
 
 # 1% asymptotic critical value for sqrt(m) * KS statistic
@@ -39,32 +40,23 @@ KS_MIN_SAMPLES = 100
 VARIANCE_ROWS = 16
 
 
-def _require_positive(name: str, value: float) -> None:
-    # NaN fails the comparison, so this also rejects non-finite values
-    if not (value > 0.0 and math.isfinite(value)):
-        raise ValueError(f"{name} must be positive, got {value}")
-
-
 def check_ladder(n_ladder, horizon: float, epsilon: float) -> tuple[int, ...]:
-    """Validate a row-size ladder with its horizon and Lindeberg truncation
-    level; returns the ladder as a tuple of ints."""
-    ladder = tuple(int(n) for n in n_ladder)
+    """Validate a row-size ladder (increasing integers >= 1: numpy integers,
+    not bools or fractions) with its horizon and Lindeberg truncation level,
+    both positive and finite; returns the ladder as a tuple of Python ints."""
+    ladder = tuple(require_count("n_ladder entries", n, 1) for n in n_ladder)
     if not ladder:
         raise ValueError("n_ladder must not be empty")
-    if ladder[0] < 1:
-        raise ValueError(f"ladder entries must be >= 1, got {list(ladder)}")
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError(f"n_ladder must be strictly increasing, got {list(ladder)}")
-    _require_positive("horizon", horizon)
-    _require_positive("epsilon", epsilon)
+    require_positive("horizon", horizon)
+    require_positive("epsilon", epsilon)
     return ladder
 
 
 def check_samples(samples: int, minimum: int) -> int:
     """Validate a sample count against the fewest an estimator takes."""
-    if samples < minimum:
-        raise ValueError(f"samples must be >= {minimum}, got {samples}")
-    return samples
+    return require_count("samples", samples, minimum)
 
 
 def check_horizons(horizons) -> tuple[float, ...]:
@@ -74,13 +66,14 @@ def check_horizons(horizons) -> tuple[float, ...]:
     if len(set(ts)) < 3:
         raise ValueError("need at least 3 distinct horizons")
     for t in ts:
-        _require_positive("horizons", t)
+        require_positive("horizons", t)
     return ts
 
 
 @dataclass(frozen=True)
 class ArraySpec:
-    """One triangular-array sampling configuration."""
+    """One triangular-array sampling configuration: rows and samples are
+    integers >= 1, kept as Python ints; the horizon is positive and finite."""
 
     model: IncrementModel
     horizon: float
@@ -89,11 +82,9 @@ class ArraySpec:
     seed: int
 
     def __post_init__(self) -> None:
-        _require_positive("horizon", self.horizon)
-        if self.rows < 1:
-            raise ValueError(f"rows must be >= 1, got {self.rows}")
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
+        require_positive("horizon", self.horizon)
+        for name in ("rows", "samples"):
+            object.__setattr__(self, name, require_count(name, getattr(self, name), 1))
         check_seed(self.seed)
 
 
@@ -164,9 +155,7 @@ def sample_row_sum(spec: ArraySpec) -> np.ndarray:
 def max_cell_variance(model: IncrementModel, n: int, horizon: float) -> float:
     """Largest per-cell variance in a size-n row: identical cells make this
     exactly per_unit_variance * horizon / n."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return model.variance(horizon / n)
+    return model.variance(horizon / require_count("n", n, 1))
 
 
 def lindeberg_statistic(model: IncrementModel, n: int, horizon: float, epsilon: float,
@@ -180,7 +169,7 @@ def lindeberg_statistic(model: IncrementModel, n: int, horizon: float, epsilon: 
     calling thread and one helper, so memory does not grow with samples
     and the bits never depend on one thread or two.
     """
-    check_ladder((n,), horizon, epsilon)
+    (n,) = check_ladder((n,), horizon, epsilon)
     check_samples(samples, VARIANCE_MIN_SAMPLES)
     h = horizon / n
 
@@ -206,8 +195,7 @@ def ks_normal_test(samples, mean: float, std_dev: float) -> tuple[float, float]:
     if x.ndim != 1:
         raise ValueError("samples must be one-dimensional")
     m = check_samples(x.size, KS_MIN_SAMPLES)
-    if not (std_dev > 0.0 and math.isfinite(std_dev)):
-        raise ValueError(f"std_dev must be positive, got {std_dev}")
+    require_positive("std_dev", std_dev)
 
     z = np.sort((x - mean) / std_dev)
     ref = norm_cdf(z)

@@ -18,25 +18,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .normal import norm_cdf, norm_pdf
+from .pricing import require_positive
 from .rng import normal_stream, poisson_law, poisson_stream, uniform_stream
 
 KINDS = ("two_point", "uniform", "centered_exponential", "normal", "poisson_jump")
 
 
 def _jump_variance(jump_size: float, intensity: float) -> float:
-    """jump_size^2 * intensity; ValueError unless both are positive and the
-    product is a positive finite float (overflow and underflow both fail)."""
-    for name, value in (("jump_size", jump_size), ("intensity", intensity)):
-        if not value > 0.0:
-            raise ValueError(f"{name} must be positive, got {value}")
+    """jump_size^2 * intensity; ValueError unless both and the product are
+    positive finite floats (overflow and underflow both fail)."""
+    require_positive("jump_size", jump_size)
+    require_positive("intensity", intensity)
     try:
         v = jump_size ** 2 * intensity
     except OverflowError:  # a float power past the largest double raises
         v = math.inf
-    if not (v > 0.0 and math.isfinite(v)):
-        raise ValueError(f"jump_size^2 * intensity = {jump_size}^2 * {intensity} must be "
-                         f"positive and finite, got {v}")
-    return v
+    return require_positive(f"jump_size^2 * intensity = {jump_size}^2 * {intensity}", v)
 
 
 @dataclass(frozen=True)
@@ -66,8 +63,7 @@ class IncrementModel:
                     f"jump_size^2 * intensity = {expected}")
         elif self.jump_size is not None or self.intensity is not None:
             raise ValueError(f"jump parameters only apply to poisson_jump, not {self.kind}")
-        if not (self.per_unit_variance > 0.0 and math.isfinite(self.per_unit_variance)):
-            raise ValueError(f"per_unit_variance must be positive, got {self.per_unit_variance}")
+        require_positive("per_unit_variance", self.per_unit_variance)
 
     # -- factories ---------------------------------------------------------
 
@@ -102,11 +98,8 @@ class IncrementModel:
     def variance(self, h: float) -> float:
         """Analytic variance of one increment over [0, h]; ValueError unless it
         is a positive finite float (h <= 0, underflow and overflow all fail)."""
-        v = self.per_unit_variance * h
-        if not (v > 0.0 and math.isfinite(v)):
-            raise ValueError(f"one increment's variance {self.per_unit_variance} * {h} = {v} "
-                             "must be positive and finite")
-        return v
+        return require_positive(f"one increment's variance {self.per_unit_variance} * {h}",
+                                self.per_unit_variance * h)
 
     def lindeberg_tail(self, h: float, epsilon: float) -> float | None:
         """E[Z^2; |Z| > epsilon] for one increment Z over [0, h].
@@ -114,8 +107,7 @@ class IncrementModel:
         Closed forms exist for two_point, normal and poisson_jump; the other
         kinds return None and callers fall back to Monte Carlo.
         """
-        if epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
+        require_positive("epsilon", epsilon)
         v = self.variance(h)
         s = math.sqrt(v)
         if self.kind == "two_point":

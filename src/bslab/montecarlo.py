@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pricing import (NormalParams, OptionSpec, PriceResult, d_plus_minus, degenerate_result,
-                      risk_neutral_params)
+                      require_count, risk_neutral_params)
 from .rng import block_mean_m2, check_seed, map_blocks, normal_stream
 
 
@@ -26,10 +26,8 @@ class McConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.paths, (int, np.integer)) or isinstance(self.paths, bool):
-            raise ValueError(f"paths must be an integer, got {self.paths!r}")
-        if self.paths < 2:
-            raise ValueError(f"paths must be >= 2 to report a standard error, got {self.paths}")
+        # two paths at least, for a standard error
+        object.__setattr__(self, "paths", require_count("paths", self.paths, 2))
         check_seed(self.seed)
 
 

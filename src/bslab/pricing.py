@@ -10,6 +10,7 @@ max(spot - strike*exp(-rate*expiry), 0).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .normal import norm_cdf
@@ -21,6 +22,25 @@ def _require_finite(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
+# bslab's two input rules; this module loads no numpy, so every module can import them
+def require_count(name: str, value, minimum: int) -> int:
+    """value as a Python int; ValueError unless it is an integer of at least
+    minimum (numpy integers included, bools not)."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    count = operator.index(value)
+    if count < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {count}")
+    return count
+
+
+def require_positive(name: str, value: float) -> float:
+    """value if it is positive and finite (NaN fails the comparison), else ValueError."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
     return value
 
 
@@ -146,8 +166,7 @@ def risk_neutral_params(spec: OptionSpec) -> NormalParams:
 def lognormal_h_plus_minus(params: NormalParams, threshold: float) -> tuple[float, float]:
     """h+- = [log(E[e^Y]/M) +- std^2/2]/std for threshold M, in the
     algebraically reduced form (mean + std^2 - log M)/std, (mean - log M)/std."""
-    if threshold <= 0.0 or not math.isfinite(threshold):
-        raise ValueError(f"threshold must be positive and finite, got {threshold}")
+    require_positive("threshold", threshold)
     sd = params.std_dev
     if sd == 0.0:
         raise ValueError("std_dev must be positive; handle the deterministic case in the caller")

@@ -26,6 +26,8 @@ import threading
 
 import numpy as np
 
+from .pricing import require_count
+
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -168,18 +170,17 @@ def _mix64(x: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def check_seed(seed: int) -> np.uint64:
     """The seed as a uint64; ValueError unless it is an integer in [0, 2**64)."""
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if not 0 <= int(seed) < 2 ** 64:
+    seed = require_count("seed", seed, 0)
+    if seed >= 2 ** 64:
         raise ValueError(f"seed must fit in 64 unsigned bits, got {seed}")
     return np.uint64(seed)
 
 
 def uniform_stream(seed: int, start: int, count: int) -> np.ndarray:
-    """Uniforms on the open interval (0, 1) for indices start..start+count-1."""
+    """Uniforms on the open interval (0, 1) for indices start..start+count-1;
+    start and count are integers >= 0 (numpy ones draw as equal Python ints)."""
     s = check_seed(seed)
-    if start < 0 or count < 0:
-        raise ValueError("start and count must be nonnegative")
+    start, count = require_count("start", start, 0), require_count("count", count, 0)
     if start + count > _INDEX_LIMIT:
         raise ValueError(f"stream indices must stay below 2**64 - 1, got start {start} "
                          f"and count {count}")
@@ -258,8 +259,7 @@ def poisson_stream(seed: int, start: int, count: int, mean: float) -> np.ndarray
 def substream(seed: int, stream: int) -> int:
     """Derive an independent stream seed from (seed, stream index)."""
     s = check_seed(seed)
-    if stream < 0:
-        raise ValueError("stream index must be nonnegative")
+    stream = require_count("stream", stream, 0)
     with np.errstate(over="ignore"):
         salted = (s + np.uint64(1)) * _STREAM_SALT + np.uint64(stream) * _GAMMA
         x = np.atleast_1d(salted)

@@ -12,13 +12,13 @@ in plain `math`, with no numpy or scipy.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from array import array
 from dataclasses import dataclass
 from itertools import chain
 
-from .pricing import OptionSpec, PriceResult, d_plus_minus, degenerate_result
+from .pricing import (OptionSpec, PriceResult, d_plus_minus, degenerate_result,
+                      require_count)
 
 
 # most lattice steps: 10**9 weigh about 1.2M nodes (23 MiB, ~10 s); time and
@@ -32,10 +32,7 @@ class TreeConfig:
     steps: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.steps, numbers.Integral) or isinstance(self.steps, bool):
-            raise ValueError(f"steps must be an integer, got {self.steps!r}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
+        object.__setattr__(self, "steps", require_count("steps", self.steps, 1))
         if self.steps > MAX_STEPS:
             raise ValueError(f"steps must be at most 10**9, got {self.steps}")
 
@@ -94,7 +91,7 @@ def crr_tree_price(spec: OptionSpec, cfg: TreeConfig) -> PriceResult:
     With zero volatility or zero expiry the lattice is a single
     deterministic path, and the deterministic-limit price is returned.
     """
-    n = int(cfg.steps)
+    n = cfg.steps
     if spec.vol_sqrt_t == 0.0:
         return degenerate_result(spec, "tree", detail={"steps": n, "degenerate": True})
 

@@ -266,7 +266,13 @@ class TestCommandTable:
                      ["clt-demo", "--model", "normal", "--variance", "1", "--samples", "200",
                       "--seed", "1", "--n-ladder", "16,x"],
                      ["var-linearity", "--model", "normal", "--variance", "1", "--samples",
-                      "200", "--seed", "1", "--horizons", "1,2,nan"]):
+                      "200", "--seed", "1", "--horizons", "1,2,nan"],
+                     ["clt-demo", "--model", "normal", "--variance", "1", "--samples", "200",
+                      "--seed", "1", "--n-ladder", "4.5,8"],
+                     MC_ARGS[:-3] + ["1", "--seed", "42"],
+                     ["tree", *PRICE_ARGS[1:], "--steps", "0"],
+                     ["lindeberg", "--model", "poisson_jump", "--jump-size", "inf",
+                      "--intensity", "2", "--samples", "200", "--seed", "1"]):
             with pytest.raises(UsageError):
                 parse_args(argv)
 

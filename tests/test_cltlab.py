@@ -12,11 +12,14 @@ from scipy import stats
 
 import bslab.cltlab as cltlab
 import bslab.rng as rng
-from bslab.cltlab import (ArraySpec, ConvergenceReport, estimate_variance, ks_normal_test,
-                          lindeberg_statistic, max_cell_variance, run_convergence_experiment,
-                          sample_row_sum, variance_linearity_check)
+from bslab.cltlab import (ArraySpec, ConvergenceReport, check_ladder, estimate_variance,
+                          ks_normal_test, lindeberg_statistic, max_cell_variance,
+                          run_convergence_experiment, sample_row_sum, variance_linearity_check)
 from bslab.increments import IncrementModel
-from bslab.rng import BLOCK, substream
+from bslab.montecarlo import McConfig, mc_price
+from bslab.pricing import OptionSpec
+from bslab.rng import BLOCK, substream, uniform_stream
+from bslab.tree import TreeConfig, crr_tree_price
 
 TWO_POINT = IncrementModel.two_point(0.0225)
 NORMAL = IncrementModel.normal(0.0225)
@@ -411,3 +414,43 @@ class TestConvergenceExperiment:
             run_convergence_experiment(spec, [256, 16], 0.01)
         with pytest.raises(ValueError):
             run_convergence_experiment(spec, [], 0.01)
+
+
+# each of these once returned a number for a fractional or bool count, or a
+# NaN or infinite truncation level, instead of rejecting it
+@pytest.mark.parametrize("call", [
+    lambda: lindeberg_statistic(NORMAL, 16.7, 1.0, 0.01, 1000, 5),
+    lambda: lindeberg_statistic(NORMAL, True, 1.0, 0.01, 1000, 5),
+    lambda: check_ladder([16.7], 1.0, 0.01),
+    lambda: max_cell_variance(NORMAL, 2.5, 1.0),
+    lambda: TWO_POINT.lindeberg_tail(1.0 / 16, math.nan),
+    lambda: TWO_POINT.lindeberg_tail(1.0 / 16, math.inf),
+    lambda: uniform_stream(0, 1.5, 3),
+    lambda: substream(1, 2.5),
+    lambda: substream(1, True),
+    lambda: ArraySpec(NORMAL, 1.0, True, 100, 1),
+    lambda: ArraySpec(NORMAL, 1.0, 16, 10.5, 1),
+], ids=["lindeberg_n_fraction", "lindeberg_n_bool", "ladder_fraction", "cell_n_fraction",
+        "tail_epsilon_nan", "tail_epsilon_inf", "stream_start_fraction",
+        "substream_fraction", "substream_bool", "spec_rows_bool", "spec_samples_fraction"])
+def test_fractional_bool_and_non_finite_inputs_are_value_errors(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize("np_int", [np.int64, np.uint64, np.int32])
+def test_numpy_integer_counts_draw_the_bits_of_python_ints(np_int):
+    assert np.array_equal(uniform_stream(np_int(3), np_int(5), np_int(9)),
+                          uniform_stream(3, 5, 9))
+    assert substream(np_int(3), np_int(2)) == substream(3, 2)
+    assert check_ladder([np_int(4), np_int(16)], 1.0, 0.01) == (4, 16)
+    spec = ArraySpec(TWO_POINT, 1.0, np_int(4), np_int(10), np_int(1))
+    assert np.array_equal(sample_row_sum(spec), sample_row_sum(ArraySpec(TWO_POINT, 1.0, 4, 10, 1)))
+    option = OptionSpec(50.0, 52.0, 0.04, 1.0, 0.15)
+    assert mc_price(option, McConfig(np_int(1000), np_int(42))) == \
+        mc_price(option, McConfig(1000, 42))
+    assert crr_tree_price(option, TreeConfig(np_int(100))) == \
+        crr_tree_price(option, TreeConfig(100))
+    # the largest seed still draws
+    top = 2 ** 64 - 1
+    assert np.array_equal(uniform_stream(np.uint64(top), 0, 4), uniform_stream(top, 0, 4))

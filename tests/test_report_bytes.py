@@ -2,16 +2,21 @@
 hash to frozen values. The extra four cover the Poisson sampler, the
 zero-volatility path, and two sample counts cut into four pieces, the last
 one short, where the rounding of the per-piece moment merge shows.
+Their CSV and text reports, and all three formats of five more commands
+(the other three --variance models, and two more sample counts cut into
+short last pieces), are frozen too. Each command runs once and its report
+is rendered in every format.
 Any change to how draws become numbers that moves one byte of a report
 fails here; a deliberate move must update the hash and say why.
 """
 
+import functools
 import hashlib
 import io
 
 import pytest
 
-from bslab.cli import execute, parse_args
+from bslab.cli import COMMANDS, FORMATS, execute, parse_args
 
 OPTION = ["--spot", "50", "--strike", "52", "--rate", "0.04", "--expiry", "1"]
 LADDER = ["--samples", "5000", "--seed", "2024", "--n-ladder", "16,256,4096", "--epsilon", "0.01"]
@@ -56,6 +61,94 @@ GOLDEN = {
         "b5adfa08e86ab2caebde6d6916ea9801ab3f3453ef7535f010c2b8e140a14df7"),
 }
 
+# commands hashed in every format below, beside the GOLDEN ones
+MORE = {
+    "clt_demo_uniform": ["clt-demo", "--model", "uniform", "--variance", "0.0225", *LADDER],
+    "clt_demo_centered_exponential": [
+        "clt-demo", "--model", "centered_exponential", "--variance", "0.0225", *LADDER],
+    "clt_demo_normal": ["clt-demo", "--model", "normal", "--variance", "0.0225", *LADDER],
+    "lindeberg_centered_exponential_150001_samples": [
+        "lindeberg", "--model", "centered_exponential", "--variance", "0.0225",
+        "--samples", "150001", "--seed", "42"],
+    "var_linearity_poisson_jump_70000_samples": [
+        "var-linearity", "--model", "poisson_jump", "--jump-size", "0.5", "--intensity", "3",
+        "--samples", "70000", "--seed", "7"],
+}
+ARGV = {**{name: argv for name, (argv, _) in GOLDEN.items()}, **MORE}
+
+# (command, format) -> sha256 of that report, for the formats GOLDEN leaves out
+DIGESTS = {
+    ("price", "csv"): "6a5294998d1616c46491f325deb1f37ac7394f5fd8ade27e0b15de0e53582710",
+    ("price", "text"): "e2b6e96494220fabec60342fed539470e8908d85a0d96b63487e3c8e7b8e06bf",
+    ("tree", "csv"): "0463c5f203067d3a9813226fbc42ac5a8ec93f3d233d97d0a69c2d7d3d9529de",
+    ("tree", "text"): "333b68aba3122654395af73273ac385e9c63ef5447211ad1233a03f71c831904",
+    ("mc", "csv"): "abe8c92ea2f2b22dcc425f656f891123e89267097fa0cf96f409033f3fd3ea94",
+    ("mc", "text"): "4bb778af8a96df3998583033212551327a516dafca9e44d67c6d1eeace0a7fc6",
+    ("clt_demo_two_point", "csv"):
+        "7221533fdf006e4c53d45e472e2889157c916f64075078b5a533b7c57fe586cd",
+    ("clt_demo_two_point", "text"):
+        "bfd5fcb47aa5d934cb3d790b3db15860bc6054efdda041e810f252dd7038f555",
+    ("lindeberg_poisson_jump", "csv"):
+        "f67316be7f97d8bf0bf4b8b3dff47c2e9f24b92752dbb5a8d10f5def23d43e9e",
+    ("lindeberg_poisson_jump", "text"):
+        "6adfcf587813100627f508ddc332f83140908d6bdff8b14c96e5dc51eeb5829d",
+    ("var_linearity", "csv"): "439fd01111ffe39ca251df4c9e491fd0b70f40b0571a05fe8e481ae5277e58e6",
+    ("var_linearity", "text"): "6ca10c721d2fee41a5dbf412493a477c5d29e310aca1d76f4c085f035ce8a4f1",
+    ("clt_demo_poisson_jump", "csv"):
+        "04ab4c26dcfb4f07e5f6869534e8632c0c3ae6697e6c8ae829c7b8aa27a352d0",
+    ("clt_demo_poisson_jump", "text"):
+        "5d834b87742a6e9fcfd586fb5573e0a2c2c6e113c27f4a6eda5094203c094864",
+    ("mc_zero_volatility", "csv"):
+        "8529d012d7e2345fdfb4f8753a3cbc4899ec89df777539a6cd28827d83f68f26",
+    ("mc_zero_volatility", "text"):
+        "9f3e97a2ff3b514843337e8a5413279a6a94ea9a4686694dee1eccaf4dca0839",
+    ("mc_196625_paths", "csv"): "20280d18059ee41918defb2b4851b67b616ca414b1647bd84dcedc24c432d5b2",
+    ("mc_196625_paths", "text"):
+        "6d4299b6b84136eb116e8bbf6f0c64ee430abe94883dd331e6d3dd5d0dbc7d3e",
+    ("lindeberg_uniform_200017_samples", "csv"):
+        "4a25066e7f95827d92b4bd1d814cc8eb51516f48a8e8486525f61fc06e7aaba3",
+    ("lindeberg_uniform_200017_samples", "text"):
+        "3924bcfe810b5cee782c69095d76dbf4a203afdab3d07dacfbbaab9fef849d34",
+    ("clt_demo_uniform", "json"):
+        "44dc63c1279d31d95c45df08102d1dd1dcc6c2aac4342e27368198a74eb62d75",
+    ("clt_demo_uniform", "csv"):
+        "f2cfb13176e83e3114a3263f624df283042a31165f486cb317caa386d50d4531",
+    ("clt_demo_uniform", "text"):
+        "7d96b28ccba4bc644537ff672c26095505ac3a0adee20ad2ed88e84d3a74f15a",
+    ("clt_demo_centered_exponential", "json"):
+        "4ff022f0fa5fc15fce602fd7ef32292b183fdfb73fb6a0fc145f295f03d7777d",
+    ("clt_demo_centered_exponential", "csv"):
+        "39b6508474d9d794467532bdac39334d369297cdd80315f66fa1747dd28cf825",
+    ("clt_demo_centered_exponential", "text"):
+        "97f4ecc532f53f9076fc937e1758b1888f43853a3da552441d98f897525d1305",
+    ("clt_demo_normal", "json"):
+        "46b9fe78994a8449083cf3b3bd45ca201b63a631beb244b87d88d070b35189d2",
+    ("clt_demo_normal", "csv"): "795c91831c04a052a0e77e7cf00d904447bdc9c8bd9380670b9c46a43617e889",
+    ("clt_demo_normal", "text"):
+        "3764d7671778576c09cb2246fabcdfd3f209ca8c5ca3976cc5127b7bc3ae3a30",
+    ("lindeberg_centered_exponential_150001_samples", "json"):
+        "fd7f626233ae51d5eb51ac66eefec06bec98181dae01c838f139bdcd6cc7cedb",
+    ("lindeberg_centered_exponential_150001_samples", "csv"):
+        "53a936a826cec205358d552d886752f78b133b546c6ba6831bcd92d5fb4bd404",
+    ("lindeberg_centered_exponential_150001_samples", "text"):
+        "009d24ecdef4ac9522365c3975ca9d6fa14f0659e2c281e59ac2bddfd7fdda77",
+    ("var_linearity_poisson_jump_70000_samples", "json"):
+        "da05b62564aca8359e439988a9e75f17878d1df6677d5c8c2c693ebebb306b6c",
+    ("var_linearity_poisson_jump_70000_samples", "csv"):
+        "9a84c83984eccaecc81aab3d4db6a2033c56caf30d26008c06da711af38508b6",
+    ("var_linearity_poisson_jump_70000_samples", "text"):
+        "0fbe55f521ae35c123d25cd00aa5e289592d453e0d7266a2ca713e94a20feffe",
+}
+
+
+@functools.cache
+def _report_digests(name: str) -> dict:
+    """sha256 of the command's report in each format, from one run."""
+    cfg = parse_args(ARGV[name])
+    report = {"command": cfg.command, **COMMANDS[cfg.command].run(cfg)}
+    return {fmt: hashlib.sha256(render(report).encode("utf-8")).hexdigest()
+            for fmt, render in FORMATS.items()}
+
 
 @pytest.mark.parametrize("name", GOLDEN)
 def test_json_report_bytes(name):
@@ -63,3 +156,8 @@ def test_json_report_bytes(name):
     buf = io.StringIO()
     assert execute(parse_args(argv + ["--format", "json"]), out=buf) == 0
     assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name, fmt", DIGESTS)
+def test_report_bytes(name, fmt):
+    assert _report_digests(name)[fmt] == DIGESTS[name, fmt]
