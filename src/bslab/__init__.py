@@ -15,13 +15,12 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "cltlab": ("ArraySpec", "ConvergenceReport", "LindebergResult", "VarianceLinearityResult",
                "estimate_variance", "ks_normal_test", "lindeberg_statistic",
-               "max_cell_variance", "run_convergence_experiment", "sample_row_sum",
-               "variance_linearity_check"),
+               "run_convergence_experiment", "sample_row_sum", "variance_linearity_check"),
     "increments": ("IncrementModel",),
     "montecarlo": ("McConfig", "mc_forward_check", "mc_price"),
     "normal": ("norm_cdf", "norm_cdf_inv", "norm_pdf"),
     "pricing": ("DegenerateVolatilityError", "NormalParams", "OptionSpec", "PriceResult",
-                "bs_call_price", "d_plus_minus", "discount", "intrinsic_forward_value",
+                "bs_call_price", "d_plus_minus", "intrinsic_forward_value",
                 "lognormal_call_expectation", "lognormal_h_plus_minus", "risk_neutral_params"),
     "rng": ("normal_stream", "poisson_stream", "substream", "uniform_stream"),
     "tree": ("TreeConfig", "TreeParameterizationError", "crr_tree_price"),

@@ -27,7 +27,6 @@ from . import pricing
 from .reports import render_csv, render_json, render_text
 
 if TYPE_CHECKING:
-    from .cltlab import ArraySpec
     from .increments import IncrementModel
     from .montecarlo import McConfig
     from .tree import TreeConfig
@@ -51,14 +50,13 @@ class RunConfig:
     option_spec: pricing.OptionSpec | None = None
     tree_config: TreeConfig | None = None
     mc_config: McConfig | None = None
-    array_spec: ArraySpec | None = None
+    model: IncrementModel | None = None
+    samples: int | None = None
+    seed: int | None = None
+    horizon: float | None = None
     n_ladder: tuple[int, ...] | None = None
     epsilon: float | None = None
     horizons: tuple[float, ...] | None = None
-
-    @property
-    def model(self) -> IncrementModel | None:
-        return None if self.array_spec is None else self.array_spec.model
 
     def to_argv(self) -> list[str]:
         """Flags that parse back into an equal RunConfig (repr keeps every
@@ -134,25 +132,32 @@ def _build_model(a) -> IncrementModel:
     return IncrementModel(a.model, a.variance, a.jump_size, a.intensity)
 
 
+def _build_sampling(a, min_samples: int) -> dict:
+    from . import rng
+    return {"samples": pricing.require_count("samples", a.samples, min_samples),
+            "model": _build_model(a), "seed": int(rng.check_seed(a.seed))}
+
+
 def _build_ladder(a, ks: bool) -> dict:
     # clt-demo runs a KS test on its row sums; lindeberg needs only a variance
     from . import cltlab
-    cltlab.check_samples(a.samples, cltlab.KS_MIN_SAMPLES if ks else cltlab.VARIANCE_MIN_SAMPLES)
+    sampling = _build_sampling(a, cltlab.KS_MIN_SAMPLES if ks else cltlab.VARIANCE_MIN_SAMPLES)
     try:
         ladder = [int(n) for n in a.n_ladder.split(",")]
     except ValueError:
         raise UsageError(f"--n-ladder takes comma-separated integers, got {a.n_ladder!r}") from None
-    return {"array_spec": cltlab.ArraySpec(_build_model(a), a.horizon, 1, a.samples, a.seed),
-            "n_ladder": cltlab.check_ladder(ladder, a.horizon, a.epsilon),
-            "epsilon": a.epsilon}
+    return {**sampling, "horizon": a.horizon, "epsilon": a.epsilon,
+            "n_ladder": cltlab.check_ladder(ladder, a.horizon, a.epsilon)}
 
 
 def _build_var_linearity(a) -> dict:
     from . import cltlab
-    cltlab.check_samples(a.samples, cltlab.VARIANCE_MIN_SAMPLES)
-    # a unit-horizon spec carries model, samples and seed; the fit uses --horizons
-    return {"array_spec": cltlab.ArraySpec(_build_model(a), 1.0, 1, a.samples, a.seed),
-            "horizons": cltlab.check_horizons(a.horizons.split(","))}
+    sampling = _build_sampling(a, cltlab.VARIANCE_MIN_SAMPLES)
+    try:
+        horizons = [float(t) for t in a.horizons.split(",")]
+    except ValueError:
+        raise UsageError(f"--horizons takes comma-separated numbers, got {a.horizons!r}") from None
+    return {**sampling, "horizons": cltlab.check_horizons(horizons)}
 
 
 # run steps: RunConfig -> report sections (inputs, results, diagnostics, rows)
@@ -181,20 +186,21 @@ def _tree_report(cfg: RunConfig) -> dict:
 
 def _model_inputs(cfg: RunConfig) -> dict:
     """Inputs of the three model commands, ending in their horizons."""
-    spec, m = cfg.array_spec, cfg.array_spec.model
-    inputs = {"model": m.kind, "samples": spec.samples, "seed": spec.seed}
+    m = cfg.model
+    inputs = {"model": m.kind, "samples": cfg.samples, "seed": cfg.seed}
     if m.kind == "poisson_jump":
         inputs.update(jump_size=m.jump_size, intensity=m.intensity)
     inputs["variance"] = m.per_unit_variance
     if cfg.horizons is not None:
         return {**inputs, "horizons": list(cfg.horizons)}
-    return {**inputs, "horizon": spec.horizon, "epsilon": cfg.epsilon,
+    return {**inputs, "horizon": cfg.horizon, "epsilon": cfg.epsilon,
             "n_ladder": list(cfg.n_ladder)}
 
 
 def _clt_demo_report(cfg: RunConfig) -> dict:
     from . import cltlab
-    rep = cltlab.run_convergence_experiment(cfg.array_spec, cfg.n_ladder, cfg.epsilon)
+    spec = cltlab.ArraySpec(cfg.model, cfg.horizon, 1, cfg.samples, cfg.seed)
+    rep = cltlab.run_convergence_experiment(spec, cfg.n_ladder, cfg.epsilon)
     rows = [{"n": n, "ks_statistic": ks, "lindeberg": lv, "max_cell_variance": mv}
             for n, ks, lv, mv in zip(rep.n_ladder, rep.ks_statistics,
                                      rep.lindeberg_values, rep.max_cell_variance)]
@@ -204,9 +210,8 @@ def _clt_demo_report(cfg: RunConfig) -> dict:
 
 def _lindeberg_report(cfg: RunConfig) -> dict:
     from . import cltlab, rng
-    spec = cfg.array_spec
-    stats = [cltlab.lindeberg_statistic(spec.model, n, spec.horizon, cfg.epsilon, spec.samples,
-                                        rng.substream(spec.seed, k))
+    stats = [cltlab.lindeberg_statistic(cfg.model, n, cfg.horizon, cfg.epsilon, cfg.samples,
+                                        rng.substream(cfg.seed, k))
              for k, n in enumerate(cfg.n_ladder)]
     rows = [{"n": n, "lindeberg": s.value, "mc_estimate": s.estimate, "mc_std_error": s.std_error}
             for n, s in zip(cfg.n_ladder, stats)]
@@ -217,8 +222,7 @@ def _lindeberg_report(cfg: RunConfig) -> dict:
 
 def _var_linearity_report(cfg: RunConfig) -> dict:
     from . import cltlab
-    spec = cfg.array_spec
-    res = cltlab.variance_linearity_check(spec.model, cfg.horizons, spec.samples, spec.seed)
+    res = cltlab.variance_linearity_check(cfg.model, cfg.horizons, cfg.samples, cfg.seed)
     rows = [{"horizon": t, "variance": v, "variance_std_error": se}
             for t, v, se in zip(res.horizons, res.variances, res.variance_std_errors)]
     fit = ("slope", "intercept", "slope_std_error", "intercept_std_error", "max_residual")
@@ -264,6 +268,8 @@ def _build_parser() -> _Parser:
 def _splice_config(argv: list[str]) -> list[str]:
     """Insert the flags of a --config file after the subcommand, so that
     explicit command-line flags, parsed later, take precedence."""
+    argv = [part for arg in argv  # --config=PATH is read as --config PATH
+            for part in (arg.split("=", 1) if arg.startswith("--config=") else (arg,))]
     if "--config" not in argv:
         return argv
     i = argv.index("--config")

@@ -54,19 +54,12 @@ def check_ladder(n_ladder, horizon: float, epsilon: float) -> tuple[int, ...]:
     return ladder
 
 
-def check_samples(samples: int, minimum: int) -> int:
-    """Validate a sample count against the fewest an estimator takes."""
-    return require_count("samples", samples, minimum)
-
-
 def check_horizons(horizons) -> tuple[float, ...]:
     """Validate the horizons of a variance-linearity fit; returns them as a
     tuple of floats."""
-    ts = tuple(float(t) for t in horizons)
+    ts = tuple(require_positive("horizons", t) for t in horizons)
     if len(set(ts)) < 3:
         raise ValueError("need at least 3 distinct horizons")
-    for t in ts:
-        require_positive("horizons", t)
     return ts
 
 
@@ -152,12 +145,6 @@ def sample_row_sum(spec: ArraySpec) -> np.ndarray:
     return out
 
 
-def max_cell_variance(model: IncrementModel, n: int, horizon: float) -> float:
-    """Largest per-cell variance in a size-n row: identical cells make this
-    exactly per_unit_variance * horizon / n."""
-    return model.variance(horizon / require_count("n", n, 1))
-
-
 def lindeberg_statistic(model: IncrementModel, n: int, horizon: float, epsilon: float,
                         samples: int, seed: int) -> LindebergResult:
     """n * E[Z^2; |Z| > epsilon] for one cell Z of a size-n row.
@@ -170,7 +157,7 @@ def lindeberg_statistic(model: IncrementModel, n: int, horizon: float, epsilon: 
     and the bits never depend on one thread or two.
     """
     (n,) = check_ladder((n,), horizon, epsilon)
-    check_samples(samples, VARIANCE_MIN_SAMPLES)
+    require_count("samples", samples, VARIANCE_MIN_SAMPLES)
     h = horizon / n
 
     def tail_squares(lo: int, hi: int) -> np.ndarray:
@@ -194,7 +181,7 @@ def ks_normal_test(samples, mean: float, std_dev: float) -> tuple[float, float]:
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("samples must be one-dimensional")
-    m = check_samples(x.size, KS_MIN_SAMPLES)
+    m = require_count("samples", x.size, KS_MIN_SAMPLES)
     require_positive("std_dev", std_dev)
 
     z = np.sort((x - mean) / std_dev)
@@ -210,7 +197,7 @@ def estimate_variance(model: IncrementModel, horizon: float, samples: int,
     """Sample variance of simulated VARIANCE_ROWS-increment sums over
     [0, horizon], with a model-free standard error from the empirical
     fourth central moment."""
-    check_samples(samples, VARIANCE_MIN_SAMPLES)
+    require_count("samples", samples, VARIANCE_MIN_SAMPLES)
     sums = sample_row_sum(ArraySpec(model, horizon, VARIANCE_ROWS, samples, seed))
     v = float(sums.var(ddof=1))
     centered = sums - sums.mean()
@@ -273,7 +260,7 @@ def run_convergence_experiment(spec: ArraySpec, n_ladder, epsilon: float) -> Con
     stream, so the report is a pure function of (spec, n_ladder, epsilon).
     """
     ladder = check_ladder(n_ladder, spec.horizon, epsilon)
-    check_samples(spec.samples, KS_MIN_SAMPLES)
+    require_count("samples", spec.samples, KS_MIN_SAMPLES)
     row_variance = spec.model.variance(spec.horizon)
     row_std = math.sqrt(row_variance)
 
@@ -289,7 +276,8 @@ def run_convergence_experiment(spec: ArraySpec, n_ladder, epsilon: float) -> Con
         lind = lindeberg_statistic(spec.model, n, spec.horizon, epsilon,
                                    spec.samples, substream(stream, 1))
         lindeberg_vals.append(lind.value)
-        cell_vars.append(max_cell_variance(spec.model, n, spec.horizon))
+        # identical cells: the largest cell variance is any one cell's
+        cell_vars.append(spec.model.variance(spec.horizon / n))
 
     if ks_stats[-1] < threshold and _lindeberg_decreasing(tuple(lindeberg_vals), row_variance):
         verdict = "normal_limit"

@@ -63,8 +63,11 @@ def mc_price(spec: OptionSpec, cfg: McConfig) -> PriceResult:
         payoff *= disc
         return payoff
 
-    estimate, m2 = block_mean_m2(discounted_payoff, cfg.paths)
+    with np.errstate(over="ignore", invalid="ignore"):  # a payoff overflow is rejected below
+        estimate, m2 = block_mean_m2(discounted_payoff, cfg.paths)
     std_error = math.sqrt(m2 / (cfg.paths - 1)) / math.sqrt(cfg.paths)
+    if not (math.isfinite(estimate) and math.isfinite(std_error)):
+        raise ValueError(f"the Monte Carlo estimate {estimate} +- {std_error} is not finite")
     dp, dm = d_plus_minus(spec)
     return PriceResult(price=max(estimate, 0.0), d_plus=dp, d_minus=dm,
                        method="monte_carlo", std_error=std_error,

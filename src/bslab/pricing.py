@@ -18,10 +18,18 @@ from .normal import norm_cdf
 _METHODS = ("closed_form", "tree", "monte_carlo")
 
 
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
+def _require_finite(name: str, value, positive: bool = False) -> float:
+    """value as a float; ValueError unless it is a real number (not a bool or
+    a string) that is finite and, if positive is set, above 0."""
+    if type(value) is not float:  # floats, the common case, skip the conversion
+        if isinstance(value, bool) or not hasattr(value, "__float__"):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:  # an int past the largest double
+            value = math.inf
+    if not (math.isfinite(value) and (value > 0.0 or not positive)):
+        raise ValueError(f"{name} must be {'positive and ' * positive}finite, got {value}")
     return value
 
 
@@ -37,11 +45,9 @@ def require_count(name: str, value, minimum: int) -> int:
     return count
 
 
-def require_positive(name: str, value: float) -> float:
-    """value if it is positive and finite (NaN fails the comparison), else ValueError."""
-    if not (value > 0.0 and math.isfinite(value)):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-    return value
+def require_positive(name: str, value) -> float:
+    """value as a float if it is a positive finite real, else ValueError."""
+    return _require_finite(name, value, positive=True)
 
 
 @dataclass(frozen=True)
@@ -182,10 +188,3 @@ def lognormal_call_expectation(params: NormalParams, threshold: float) -> float:
     hp, hm = lognormal_h_plus_minus(params, threshold)
     growth = math.exp(params.mean + 0.5 * params.std_dev ** 2)
     return growth * norm_cdf(hp) - threshold * norm_cdf(hm)
-
-
-def discount(value: float, rate: float, t: float) -> float:
-    """Present value of a time-t amount under continuous compounding."""
-    if t < 0.0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    return value * math.exp(-rate * t)

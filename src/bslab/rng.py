@@ -64,9 +64,10 @@ def map_blocks(fn, total: int, step: int = BLOCK):
     rather than wait for a late result. No piece is taken _AHEAD or more
     past the next one to yield, and piece bounds come from the piece index,
     so memory stays bounded in the number of pieces. With one usable CPU or
-    fewer than two pieces everything runs serially. An exception raised by
-    fn on either thread reaches the caller in piece order, and the helper
-    has stopped by the time the generator finishes or is closed.
+    fewer than two pieces everything runs serially. Both threads run fn under
+    the caller's numpy error state. An exception raised by fn on either
+    thread reaches the caller in piece order, and the helper has stopped by
+    the time the generator finishes or is closed.
     """
     n = -(-total // step)
 
@@ -78,6 +79,7 @@ def map_blocks(fn, total: int, step: int = BLOCK):
         yield from map(piece, range(n))
         return
     cond = threading.Condition(threading.Lock())
+    modes, errcall = np.geterr(), np.geterrcall()  # the caller's error state, for the helper too
     done = {}  # finished piece -> (result, exception)
     take, want = 1, 0  # next piece to take, next piece to yield
 
@@ -99,6 +101,8 @@ def map_blocks(fn, total: int, step: int = BLOCK):
             cond.notify()
 
     def helper() -> None:
+        np.seterr(**modes)
+        np.seterrcall(errcall)
         while True:
             with cond:
                 while (i := claim()) is None:

@@ -16,7 +16,7 @@ from bslab.cli import execute, parse_args
 from bslab.cltlab import ArraySpec, run_convergence_experiment, variance_linearity_check
 from bslab.increments import IncrementModel
 from bslab.montecarlo import McConfig, mc_forward_check, mc_price
-from bslab.pricing import (OptionSpec, bs_call_price, d_plus_minus, discount,
+from bslab.pricing import (OptionSpec, bs_call_price, d_plus_minus,
                            lognormal_call_expectation, lognormal_h_plus_minus,
                            risk_neutral_params, NormalParams)
 from quadrature import QuadratureSettings, integrate
@@ -45,10 +45,9 @@ def test_example_reproduction():
     dp, dm = d_plus_minus(EXAMPLE)
     result = bs_call_price(EXAMPLE)
     params = risk_neutral_params(EXAMPLE)
-    oracle = discount(
-        EXAMPLE.spot * quadrature_call_expectation(params.mean, params.std_dev,
-                                                   EXAMPLE.strike / EXAMPLE.spot),
-        EXAMPLE.rate, EXAMPLE.expiry)
+    expectation = quadrature_call_expectation(params.mean, params.std_dev,
+                                              EXAMPLE.strike / EXAMPLE.spot)
+    oracle = EXAMPLE.spot * expectation * math.exp(-EXAMPLE.rate * EXAMPLE.expiry)
     ok = (abs(dp - 0.0802) <= 5e-4 and abs(dm - (-0.0698)) <= 5e-4
           and abs(result.price - 3.04) <= 0.05
           and abs(result.price - FULL_PRECISION_PRICE) <= 1e-8
@@ -79,7 +78,7 @@ def test_pricing_pipeline_identity():
     for spec in random_specs(1000, 2024):
         params = risk_neutral_params(spec)
         expectation = lognormal_call_expectation(params, spec.strike / spec.spot)
-        pipeline = discount(spec.spot * expectation, spec.rate, spec.expiry)
+        pipeline = spec.spot * expectation * math.exp(-spec.rate * spec.expiry)
         worst_price = max(worst_price, abs(bs_call_price(spec).price - pipeline))
         hp, hm = lognormal_h_plus_minus(params, spec.strike / spec.spot)
         dp, dm = d_plus_minus(spec)

@@ -1,3 +1,4 @@
+import ast
 import csv
 import importlib
 import io
@@ -6,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -111,6 +113,22 @@ class TestConfigFile:
     def test_missing_file_is_usage_error(self):
         with pytest.raises(UsageError, match="cannot read"):
             parse_args(["price", "--config", "/nonexistent/file.cfg"])
+
+    def test_equals_form_is_read_like_the_separate_form(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("spot=50\nstrike=52\nrate=0.04\nexpiry=1\nvol=0.15\nformat=json\n",
+                        encoding="utf-8")
+        joined = parse_args(["price", f"--config={path}"])
+        assert joined == parse_args(["price", "--config", str(path)])
+        assert joined.output_format == "json"
+
+    def test_equals_form_file_with_every_required_flag_runs(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("spot=50\nstrike=52\nrate=0.04\nexpiry=1\nvol=0.15\nformat=json\n",
+                        encoding="utf-8")
+        assert main(["price", f"--config={path}"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["command"] == "price" and report["inputs"]["strike"] == 52.0
 
     def test_dangling_config_flag(self):
         with pytest.raises(UsageError, match="--config"):
@@ -272,9 +290,19 @@ class TestCommandTable:
                      MC_ARGS[:-3] + ["1", "--seed", "42"],
                      ["tree", *PRICE_ARGS[1:], "--steps", "0"],
                      ["lindeberg", "--model", "poisson_jump", "--jump-size", "inf",
-                      "--intensity", "2", "--samples", "200", "--seed", "1"]):
+                      "--intensity", "2", "--samples", "200", "--seed", "1"],
+                     ["var-linearity", "--model", "normal", "--variance", "1", "--samples",
+                      "200", "--seed", "-1"],
+                     ["clt-demo", "--model", "normal", "--variance", "1", "--samples", "200",
+                      "--seed", str(2 ** 64)]):
             with pytest.raises(UsageError):
                 parse_args(argv)
+
+    def test_unparseable_horizons_exit_one_naming_the_flag(self, capsys):
+        assert main(["var-linearity", "--model", "normal", "--variance", "1", "--samples",
+                     "200", "--seed", "1", "--horizons", "1,2,x"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "--horizons takes comma-separated numbers, got '1,2,x'\n"
 
     def test_run_steps_see_rebound_module_functions(self, monkeypatch):
         # a tracer rebinds the pricers in their home modules; the table must call the new binding
@@ -372,6 +400,19 @@ class TestCommandTable:
         assert err.startswith("bslab var-linearity: the variance fit over horizons")
         assert "Warning" not in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    @pytest.mark.parametrize("paths", ["1000", "1000000"], ids=["one_piece", "pooled"])
+    def test_overflowing_mc_payoff_exits_two_with_one_line(self, paths, fmt, capsys):
+        # spot * e^y passes the largest double; warnings are errors here, so
+        # none may escape from either thread
+        assert main(["mc", "--spot", "1e308", "--strike", "1e-308", "--rate", "0.04",
+                     "--expiry", "1", "--vol", "0.15", "--paths", paths, "--seed", "42",
+                     "--format", fmt]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("bslab mc: the Monte Carlo estimate")
+        assert "Warning" not in err and "Traceback" not in err
+
     @pytest.mark.parametrize("exc", [OverflowError("math range error"),
                                      ZeroDivisionError("float division by zero")])
     def test_arithmetic_error_exits_two_with_one_line(self, monkeypatch, exc, capsys):
@@ -458,3 +499,31 @@ class TestLazyImports:
 
     def test_submodules_are_package_attributes(self):
         run_python("import bslab\nassert bslab.montecarlo.mc_price is bslab.mc_price\n")
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class TestBenchmarkSurface:
+    """The benchmark under perfbench/ reaches bslab only through its exports
+    and the tracer's wrapped functions; retiring one of them must fail here."""
+
+    def test_tracer_installs(self):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(ROOT / "src"), str(ROOT / "perfbench"), *sys.path])}
+        done = subprocess.run([sys.executable, "-c", "import spans\nspans.Tracer().install()\n"],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+
+    def test_workload_names_are_exports(self):
+        import bslab
+
+        def reads_bslab(node):
+            return (isinstance(node, ast.Name) and node.id in ("bslab", "b")
+                    or isinstance(node, ast.Attribute) and node.attr == "bslab")
+
+        tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text(encoding="utf-8"))
+        names = {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and reads_bslab(node.value)}
+        assert "run_convergence_experiment" in names
+        assert names <= set(bslab.__all__), sorted(names - set(bslab.__all__))

@@ -13,8 +13,8 @@ from scipy import stats
 import bslab.cltlab as cltlab
 import bslab.rng as rng
 from bslab.cltlab import (ArraySpec, ConvergenceReport, check_ladder, estimate_variance,
-                          ks_normal_test, lindeberg_statistic, max_cell_variance,
-                          run_convergence_experiment, sample_row_sum, variance_linearity_check)
+                          ks_normal_test, lindeberg_statistic, run_convergence_experiment,
+                          sample_row_sum, variance_linearity_check)
 from bslab.increments import IncrementModel
 from bslab.montecarlo import McConfig, mc_price
 from bslab.pricing import OptionSpec
@@ -195,25 +195,26 @@ def test_row_sums_reuse_their_scratch_instead_of_faulting(cpus):
     assert float(done.stdout) < 8.0
 
 
+# a size-n row over [0, 1] has identical cells of variance model.variance(1/n)
 class TestMaxCellVariance:
     def test_direct_division(self):
-        assert max_cell_variance(NORMAL, 9, 1.0) == pytest.approx(0.0025, rel=1e-15)
+        assert NORMAL.variance(1.0 / 9) == pytest.approx(0.0025, rel=1e-15)
 
     def test_exact_scaling_by_ten(self):
-        v1 = max_cell_variance(NORMAL, 4, 1.0)
-        v2 = max_cell_variance(NORMAL, 40, 1.0)
+        v1 = NORMAL.variance(1.0 / 4)
+        v2 = NORMAL.variance(1.0 / 40)
         assert v1 == pytest.approx(10.0 * v2, rel=1e-14)
 
     def test_row_total_recovers_variance(self):
         for n in (16, 256, 4096):
-            assert n * max_cell_variance(TWO_POINT, n, 1.0) == 0.0225
+            assert n * TWO_POINT.variance(1.0 / n) == 0.0225
 
     def test_sample_second_moment_cross_check(self):
         n = 64
         z = NORMAL.sample(1.0 / n, 31, 0, 100_000)
         second = float(np.mean(z * z))
         se = float(np.std(z * z, ddof=1)) / math.sqrt(z.size)
-        assert abs(second - max_cell_variance(NORMAL, n, 1.0)) <= 4.0 * se
+        assert abs(second - NORMAL.variance(1.0 / n)) <= 4.0 * se
 
 
 class TestLindebergStatistic:
@@ -416,13 +417,14 @@ class TestConvergenceExperiment:
             run_convergence_experiment(spec, [], 0.01)
 
 
-# each of these once returned a number for a fractional or bool count, or a
-# NaN or infinite truncation level, instead of rejecting it
+# each of these once returned a number for a fractional or bool count, a bool
+# or string real, or a NaN or infinite truncation level, or raised something
+# other than ValueError for an int past the double range, instead of
+# rejecting it with a ValueError
 @pytest.mark.parametrize("call", [
     lambda: lindeberg_statistic(NORMAL, 16.7, 1.0, 0.01, 1000, 5),
     lambda: lindeberg_statistic(NORMAL, True, 1.0, 0.01, 1000, 5),
     lambda: check_ladder([16.7], 1.0, 0.01),
-    lambda: max_cell_variance(NORMAL, 2.5, 1.0),
     lambda: TWO_POINT.lindeberg_tail(1.0 / 16, math.nan),
     lambda: TWO_POINT.lindeberg_tail(1.0 / 16, math.inf),
     lambda: uniform_stream(0, 1.5, 3),
@@ -430,9 +432,17 @@ class TestConvergenceExperiment:
     lambda: substream(1, True),
     lambda: ArraySpec(NORMAL, 1.0, True, 100, 1),
     lambda: ArraySpec(NORMAL, 1.0, 16, 10.5, 1),
-], ids=["lindeberg_n_fraction", "lindeberg_n_bool", "ladder_fraction", "cell_n_fraction",
+    lambda: ArraySpec(NORMAL, 10**400, 4, 10, 1),
+    lambda: ArraySpec(NORMAL, "1.0", 4, 10, 1),
+    lambda: ArraySpec(NORMAL, True, 4, 10, 1),
+    lambda: OptionSpec("50", True, 0.04, 1, 0.15),
+    lambda: OptionSpec(50.0, True, 0.04, 1.0, 0.15),
+    lambda: OptionSpec(10**400, 52.0, 0.04, 1.0, 0.15),
+], ids=["lindeberg_n_fraction", "lindeberg_n_bool", "ladder_fraction",
         "tail_epsilon_nan", "tail_epsilon_inf", "stream_start_fraction",
-        "substream_fraction", "substream_bool", "spec_rows_bool", "spec_samples_fraction"])
+        "substream_fraction", "substream_bool", "spec_rows_bool", "spec_samples_fraction",
+        "spec_horizon_past_double", "spec_horizon_string", "spec_horizon_bool",
+        "option_string_spot_bool_strike", "option_bool_strike", "option_spot_past_double"])
 def test_fractional_bool_and_non_finite_inputs_are_value_errors(call):
     with pytest.raises(ValueError):
         call()

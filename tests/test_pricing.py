@@ -5,7 +5,7 @@ import pytest
 
 from bslab.normal import norm_pdf
 from bslab.pricing import (DegenerateVolatilityError, NormalParams, OptionSpec, PriceResult,
-                           bs_call_price, d_plus_minus, discount, intrinsic_forward_value,
+                           bs_call_price, d_plus_minus, intrinsic_forward_value,
                            lognormal_call_expectation, lognormal_h_plus_minus,
                            risk_neutral_params)
 from quadrature import QuadratureSettings, integrate
@@ -208,29 +208,12 @@ class TestRiskNeutralParams:
         assert quad == pytest.approx(math.exp(0.04), rel=1e-8)
 
 
-class TestDiscount:
-    def test_example_factor(self):
-        value = discount(52.0, 0.04, 1.0)
-        assert value == 52.0 * math.exp(-0.04)
-        assert value == pytest.approx(49.961, abs=5e-4)
-
-    def test_zero_horizon_identity(self):
-        assert discount(123.45, 0.07, 0.0) == 123.45
-
-    def test_plain_exponential(self):
-        assert discount(100.0, 0.1, 2.0) == 100.0 * math.exp(-0.2)
-
-    def test_negative_horizon_rejected(self):
-        with pytest.raises(ValueError):
-            discount(1.0, 0.05, -0.5)
-
-
 class TestPipelineIdentity:
     def test_price_decomposes_through_payoff_expectation(self):
         for spec in random_specs(1000, 2718):
             params = risk_neutral_params(spec)
             expectation = lognormal_call_expectation(params, spec.strike / spec.spot)
-            pipeline = discount(spec.spot * expectation, spec.rate, spec.expiry)
+            pipeline = spec.spot * expectation * math.exp(-spec.rate * spec.expiry)
             assert abs(bs_call_price(spec).price - pipeline) <= 1e-10
 
     def test_h_equals_d(self):

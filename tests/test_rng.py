@@ -292,6 +292,27 @@ def test_map_blocks_runs_two_pieces_at_once(monkeypatch):
     assert caller in ran_on and len(ran_on) == 2
 
 
+def test_map_blocks_helper_runs_under_the_callers_error_state(monkeypatch):
+    # pieces 0 and 1 can only both pass the barrier if they run together
+    monkeypatch.setattr(rng, "_usable_cpus", lambda: 2)
+    barrier = threading.Barrier(2, timeout=10.0)
+    states = []
+
+    def fn(lo, hi):
+        if lo < 2:
+            barrier.wait()
+        states.append((threading.current_thread(), np.geterr()["over"], np.geterrcall()))
+        return lo
+
+    def on_error(kind, flag):
+        pass
+
+    with np.errstate(over="raise", call=on_error):
+        assert list(map_blocks(fn, 4, step=1)) == list(range(4))
+    assert len({thread for thread, _, _ in states}) == 2
+    assert {(over, call) for _, over, call in states} == {("raise", on_error)}
+
+
 def test_map_blocks_caller_runs_a_queued_piece_rather_than_wait(monkeypatch):
     # the helper's first piece finishes only after the caller's next piece
     # has run: a caller that waited for it instead would time out
