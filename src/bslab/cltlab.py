@@ -7,8 +7,9 @@ of the total log-return over [0, t]. The machinery measures, at desk scale,
 whether row sums approach the normal law with variance per_unit_variance*t
 and whether the Lindeberg tail sum vanishes.
 
-Row sums fill rng.map_blocks pieces of whole rows, and the Monte Carlo
-Lindeberg estimate is reduced by rng.block_mean_m2.
+Row sums fill rng.map_blocks pieces of whole rows. The Lindeberg
+statistic is exact for every increment kind; its Monte Carlo cross-check is
+reduced by rng.block_mean_m2.
 """
 
 from __future__ import annotations
@@ -83,17 +84,12 @@ class ArraySpec:
 
 @dataclass(frozen=True)
 class LindebergResult:
-    """Monte Carlo estimate of the Lindeberg statistic, and the analytic
-    value for model kinds that have one."""
+    """The Lindeberg statistic in closed form (analytic), and its Monte Carlo
+    estimate and standard error as an independent cross-check."""
 
     estimate: float
     std_error: float
-    analytic: float | None
-
-    @property
-    def value(self) -> float:
-        """The analytic value when available, the estimate otherwise."""
-        return self.estimate if self.analytic is None else self.analytic
+    analytic: float
 
 
 @dataclass(frozen=True)
@@ -150,8 +146,8 @@ def lindeberg_statistic(model: IncrementModel, n: int, horizon: float, epsilon: 
     """n * E[Z^2; |Z| > epsilon] for one cell Z of a size-n row.
 
     Under stationarity this single-cell form equals the full row sum of
-    truncated second moments. The Monte Carlo estimate always comes back;
-    kinds with closed-form tails also report the analytic value. Draws are
+    truncated second moments. The analytic value comes from the model's
+    closed-form tail; the Monte Carlo estimate beside it checks it. Draws are
     reduced by rng.block_mean_m2 (as in mc_price), block by block on the
     calling thread and one helper, so memory does not grow with samples
     and the bits never depend on one thread or two.
@@ -167,9 +163,8 @@ def lindeberg_statistic(model: IncrementModel, n: int, horizon: float, epsilon: 
     mean, m2 = block_mean_m2(tail_squares, samples)
     estimate = n * mean
     std_error = n * math.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
-    tail = model.lindeberg_tail(h, epsilon)
-    analytic = None if tail is None else n * tail
-    return LindebergResult(estimate=estimate, std_error=std_error, analytic=analytic)
+    return LindebergResult(estimate=estimate, std_error=std_error,
+                           analytic=n * model.lindeberg_tail(h, epsilon))
 
 
 def ks_normal_test(samples, mean: float, std_dev: float) -> tuple[float, float]:
@@ -256,8 +251,10 @@ def run_convergence_experiment(spec: ArraySpec, n_ladder, epsilon: float) -> Con
     threshold and the Lindeberg values decrease toward 0 (last value below
     half the first and below 0.1 * row variance); non_normal_limit when the
     KS statistic is still at or above the threshold at the largest n;
-    inconclusive otherwise. Each ladder entry samples from its own derived
-    stream, so the report is a pure function of (spec, n_ladder, epsilon).
+    inconclusive otherwise. The Lindeberg values are the closed-form
+    n * E[Z^2; |Z| > epsilon], so only the row sums are sampled. Each ladder
+    entry samples from its own derived stream, so the report is a pure
+    function of (spec, n_ladder, epsilon).
     """
     ladder = check_ladder(n_ladder, spec.horizon, epsilon)
     require_count("samples", spec.samples, KS_MIN_SAMPLES)
@@ -269,15 +266,13 @@ def run_convergence_experiment(spec: ArraySpec, n_ladder, epsilon: float) -> Con
     cell_vars: list[float] = []
     threshold = math.nan
     for k, n in enumerate(ladder):
-        stream = substream(spec.seed, k)
-        sums = sample_row_sum(replace(spec, rows=n, seed=stream))
+        sums = sample_row_sum(replace(spec, rows=n, seed=substream(spec.seed, k)))
         stat, threshold = ks_normal_test(sums, 0.0, row_std)
         ks_stats.append(stat)
-        lind = lindeberg_statistic(spec.model, n, spec.horizon, epsilon,
-                                   spec.samples, substream(stream, 1))
-        lindeberg_vals.append(lind.value)
+        h = spec.horizon / n
+        lindeberg_vals.append(n * spec.model.lindeberg_tail(h, epsilon))
         # identical cells: the largest cell variance is any one cell's
-        cell_vars.append(spec.model.variance(spec.horizon / n))
+        cell_vars.append(spec.model.variance(h))
 
     if ks_stats[-1] < threshold and _lindeberg_decreasing(tuple(lindeberg_vals), row_variance):
         verdict = "normal_limit"

@@ -6,6 +6,7 @@ Each model describes the distribution of one increment over an interval
 are centered analytically (not empirically re-centered), so any deviation
 a test sees is convergence error, not centering error.
 
+Every kind has its Lindeberg tail E[Z^2; |Z| > epsilon] in closed form.
 The poisson_jump model is the counterexample family: compensated jumps of
 fixed size, whose Lindeberg tail does not vanish as intervals shrink.
 """
@@ -101,24 +102,32 @@ class IncrementModel:
         return require_positive(f"one increment's variance {self.per_unit_variance} * {h}",
                                 self.per_unit_variance * h)
 
-    def lindeberg_tail(self, h: float, epsilon: float) -> float | None:
-        """E[Z^2; |Z| > epsilon] for one increment Z over [0, h].
-
-        Closed forms exist for two_point, normal and poisson_jump; the other
-        kinds return None and callers fall back to Monte Carlo.
-        """
+    def lindeberg_tail(self, h: float, epsilon: float) -> float:
+        """E[Z^2; |Z| > epsilon] for one increment Z over [0, h], in closed
+        form for every kind."""
         require_positive("epsilon", epsilon)
         v = self.variance(h)
         s = math.sqrt(v)
         if self.kind == "two_point":
             return v if s > epsilon else 0.0
+        if self.kind == "uniform":
+            # (a^3 - eps^3)/(3a) on [-a, a], a = sqrt(3)*s: v*(1 - r^3) with r = eps/a
+            r = epsilon / (math.sqrt(3.0) * s)
+            return v * (1.0 - r) * (1.0 + r + r * r) if r < 1.0 else 0.0
+        c = epsilon / s
         if self.kind == "normal":
-            c = epsilon / s
             # 2*integral_c^inf z^2 phi(z) dz = 2*(c*phi(c) + 1 - N(c))
             return v * 2.0 * (c * norm_pdf(c) + norm_cdf(-c))
-        if self.kind == "poisson_jump":
-            return self._poisson_tail(h, epsilon)
-        return None
+        if self.kind == "centered_exponential":
+            # Z/s + 1 ~ Exp(1), and -e^{-x}(x^2 + 1) is an antiderivative of
+            # (x - 1)^2 e^{-x}: the tail above 1 + c, plus the one below 1 - c
+            # while c < 1; past c ~ 745 the upper factor is 0 and c^2 is not formed
+            upper = math.exp(-1.0 - c)
+            tail = upper * (c * c + 2.0 * c + 2.0) if upper else 0.0
+            if c < 1.0:
+                tail += -math.expm1(c - 1.0) - math.exp(c - 1.0) * (1.0 - c) ** 2
+            return v * tail
+        return self._poisson_tail(h, epsilon)
 
     def _poisson_tail(self, h: float, epsilon: float) -> float:
         a = self.jump_size

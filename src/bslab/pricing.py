@@ -66,12 +66,10 @@ class OptionSpec:
     volatility: float
 
     def __post_init__(self) -> None:
-        for name in ("spot", "strike", "rate", "expiry", "volatility"):
+        for name in ("spot", "strike"):
+            object.__setattr__(self, name, require_positive(name, getattr(self, name)))
+        for name in ("rate", "expiry", "volatility"):
             object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
-        if self.spot <= 0.0:
-            raise ValueError(f"spot must be positive, got {self.spot}")
-        if self.strike <= 0.0:
-            raise ValueError(f"strike must be positive, got {self.strike}")
         if self.expiry < 0.0:
             raise ValueError(f"expiry must be nonnegative, got {self.expiry}")
         if self.volatility < 0.0:
@@ -116,22 +114,16 @@ class PriceResult:
             raise ValueError(f"std_error must be nonnegative, got {self.std_error}")
 
 
-class DegenerateVolatilityError(ValueError):
-    """volatility*sqrt(expiry) is zero, so d+- are not defined."""
-
-
-def _log_forward_moneyness(spec: OptionSpec) -> float:
-    # log(e^{rt} * spot / strike), written to avoid the exp/log round trip
-    return math.log(spec.spot / spec.strike) + spec.rate * spec.expiry
-
-
 def d_plus_minus(spec: OptionSpec) -> tuple[float, float]:
-    """d+- = log(e^{rt}*spot/strike)/(vol*sqrt(t)) +- vol*sqrt(t)/2."""
+    """d+- = log(e^{rt}*spot/strike)/(vol*sqrt(t)) +- vol*sqrt(t)/2. When
+    volatility*sqrt(expiry) is zero both are at their limit: infinite, with
+    the sign of the log forward moneyness, or 0 at the money."""
+    # log(e^{rt} * spot / strike), written to avoid the exp/log round trip
+    m = math.log(spec.spot / spec.strike) + spec.rate * spec.expiry
     s = spec.vol_sqrt_t
     if s == 0.0:
-        raise DegenerateVolatilityError(
-            "volatility*sqrt(expiry) is zero; price via the deterministic limit instead")
-    m = _log_forward_moneyness(spec)
+        d = math.copysign(math.inf, m) if m else 0.0
+        return d, d
     return m / s + 0.5 * s, m / s - 0.5 * s
 
 
@@ -142,11 +134,9 @@ def intrinsic_forward_value(spec: OptionSpec) -> float:
 
 def degenerate_result(spec: OptionSpec, method: str, **fields) -> PriceResult:
     """Every pricer's result when volatility*sqrt(expiry) is zero: the
-    deterministic-limit price, with d+- at their limit (infinite, with the
-    sign of the log forward moneyness, or 0 at the money)."""
-    m = _log_forward_moneyness(spec)
-    d = math.copysign(math.inf, m) if m else 0.0
-    return PriceResult(price=intrinsic_forward_value(spec), d_plus=d, d_minus=d, method=method,
+    deterministic-limit price, with d+- at their limit (d_plus_minus)."""
+    dp, dm = d_plus_minus(spec)
+    return PriceResult(price=intrinsic_forward_value(spec), d_plus=dp, d_minus=dm, method=method,
                        **fields)
 
 

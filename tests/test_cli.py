@@ -275,7 +275,7 @@ class TestCommandTable:
         assert main(MC_ARGS + ["--batch-size", "123"]) == 1
         assert "--batch-size" in capsys.readouterr().err
 
-    def test_bad_domain_input_exits_one_at_parse_time(self):
+    def test_bad_domain_input_exits_one_at_parse_time(self, capsys):
         for argv in (MC_ARGS[:-1] + ["-1"],
                      ["clt-demo", "--model", "normal", "--variance", "1", "--samples", "200",
                       "--seed", "1", "--epsilon", "nan"],
@@ -294,9 +294,19 @@ class TestCommandTable:
                      ["var-linearity", "--model", "normal", "--variance", "1", "--samples",
                       "200", "--seed", "-1"],
                      ["clt-demo", "--model", "normal", "--variance", "1", "--samples", "200",
-                      "--seed", str(2 ** 64)]):
+                      "--seed", str(2 ** 64)],
+                     ["price", "--spot", "-5", *PRICE_ARGS[3:]],
+                     ["price", *PRICE_ARGS[1:3], "--strike", "0", *PRICE_ARGS[5:]]):
             with pytest.raises(UsageError):
                 parse_args(argv)
+            assert main(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+        # spot and strike are checked like every other positive real
+        assert main(["price", "--spot", "-5", *PRICE_ARGS[3:]]) == 1
+        assert capsys.readouterr().err == "spot must be positive and finite, got -5.0\n"
+        assert main(["price", *PRICE_ARGS[1:3], "--strike", "0", *PRICE_ARGS[5:]]) == 1
+        assert capsys.readouterr().err == "strike must be positive and finite, got 0.0\n"
 
     def test_unparseable_horizons_exit_one_naming_the_flag(self, capsys):
         assert main(["var-linearity", "--model", "normal", "--variance", "1", "--samples",

@@ -233,7 +233,9 @@ class TestLindebergStatistic:
         assert values[2] < 1e-9
 
     def test_estimate_agrees_with_analytic_within_four_standard_errors(self):
-        for model, n in ((NORMAL, 100), (POISSON, 256), (TWO_POINT, 16)):
+        for model, n in ((NORMAL, 100), (POISSON, 256), (TWO_POINT, 16),
+                         (IncrementModel.uniform(0.0225), 16),
+                         (IncrementModel.centered_exponential(0.0225), 256)):
             res = lindeberg_statistic(model, n, 1.0, 0.01, 100_000, 5)
             assert abs(res.estimate - res.analytic) <= 4.0 * res.std_error + 1e-12
 
@@ -247,7 +249,7 @@ class TestLindebergStatistic:
         # uniform half-width sqrt(3*0.0225/n) falls below 0.01 past n = 675
         uniform = IncrementModel.uniform(0.0225)
         below = lindeberg_statistic(uniform, 1024, 1.0, 0.01, 5000, 3)
-        assert below.analytic is None and below.estimate == 0.0
+        assert below.analytic == 0.0 and below.estimate == 0.0
         above = lindeberg_statistic(uniform, 512, 1.0, 0.01, 5000, 3)
         assert above.estimate > 0.0
 
@@ -390,6 +392,21 @@ class TestConvergenceExperiment:
         # truncated second moment keeps the whole cell variance at both rungs
         report = run_convergence_experiment(ArraySpec(NORMAL, 1.0, 1, 2000, 3), [16, 17], 1e-9)
         assert report.verdict == "inconclusive"
+
+    def test_lindeberg_values_are_closed_form_and_draw_nothing(self, monkeypatch):
+        original = cltlab.lindeberg_statistic
+
+        def no_sampling(*args):
+            raise AssertionError("clt-demo sampled Lindeberg draws")
+
+        monkeypatch.setattr(cltlab, "lindeberg_statistic", no_sampling)
+        for model in KIND_MODELS:
+            report = run_convergence_experiment(ArraySpec(model, 1.0, 1, 200, 4), [16, 256], 0.01)
+            # the values the per-rung Monte Carlo call used to report for the
+            # kinds that already had a closed form, bit for bit
+            if model.kind in ("two_point", "normal", "poisson_jump"):
+                assert repr(report.lindeberg_values) == repr(tuple(
+                    original(model, n, 1.0, 0.01, 200, 4).analytic for n in (16, 256)))
 
     def test_report_is_deterministic(self):
         spec = ArraySpec(POISSON, 1.0, 1, 1000, 8)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -151,9 +152,36 @@ class TestLindebergTail:
             reference = float(np.sum(z[mask] ** 2 * pmf[mask]))
             assert model.lindeberg_tail(h, 0.01) == pytest.approx(reference, rel=1e-12)
 
-    def test_kinds_without_closed_form_return_none(self):
-        assert IncrementModel.uniform(1.0).lindeberg_tail(0.5, 0.1) is None
-        assert IncrementModel.centered_exponential(1.0).lindeberg_tail(0.5, 0.1) is None
+    @pytest.mark.parametrize("kind", ["uniform", "centered_exponential"])
+    def test_closed_form_matches_mpmath_quadrature(self, kind):
+        # the density integrated in 40 digits, at truncation levels c = eps/s
+        # on both sides of the exponential's lower-tail switch at c = 1 and
+        # of the uniform's support edge at c = sqrt(3) = 1.7320...
+        model = IncrementModel(kind, 0.0225)
+        for n in (16, 256, 4096):
+            h = 1.0 / n
+            v = model.variance(h)
+            for c in (0.01, 0.5, 1 - 1e-9, 1.0, 1 + 1e-9, 1.73, 3.0, 30.0):
+                eps = c * math.sqrt(v)
+                with mpmath.workdps(40):
+                    s, e = mpmath.sqrt(mpmath.mpf(v)), mpmath.mpf(eps)
+                    if kind == "uniform":  # density 1/(2a) on [-a, a]
+                        a = mpmath.sqrt(3) * s
+                        ref = mpmath.quad(lambda z: z * z / a, [e, a]) if e < a else 0
+                    else:  # Z = s*(X - 1) with X ~ Exp(1): the tails X > 1 + g and X < 1 - g
+                        g = e / s
+                        ranges = [[1 + g, mpmath.inf]] + ([[0, 1 - g]] if g < 1 else [])
+                        ref = v * sum(mpmath.quad(lambda x: (x - 1) ** 2 * mpmath.exp(-x), r)
+                                      for r in ranges)
+                    ref = float(ref)
+                tail = model.lindeberg_tail(h, eps)
+                assert tail == pytest.approx(ref, rel=1e-12, abs=0.0), (n, c)
+                assert (tail == 0.0) == (ref == 0.0)
+
+    def test_truncation_past_the_double_range_gives_zero(self):
+        # eps/s overflows to inf: e^{-1-c} is 0 and c^2 is inf, whose product is nan
+        for kind in ("two_point", "uniform", "centered_exponential"):
+            assert IncrementModel(kind, 1e-300).lindeberg_tail(1.0, 1e300) == 0.0
 
     def test_epsilon_domain(self):
         with pytest.raises(ValueError):

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from bslab.normal import norm_pdf
-from bslab.pricing import (DegenerateVolatilityError, NormalParams, OptionSpec, PriceResult,
-                           bs_call_price, d_plus_minus, intrinsic_forward_value,
-                           lognormal_call_expectation, lognormal_h_plus_minus,
-                           risk_neutral_params)
+from bslab.pricing import (NormalParams, OptionSpec, PriceResult, bs_call_price, d_plus_minus,
+                           intrinsic_forward_value, lognormal_call_expectation,
+                           lognormal_h_plus_minus, risk_neutral_params)
 from quadrature import QuadratureSettings, integrate
 
 EXAMPLE = OptionSpec(spot=50.0, strike=52.0, rate=0.04, expiry=1.0, volatility=0.15)
@@ -81,11 +80,18 @@ class TestDPlusMinus:
             dp, dm = d_plus_minus(spec)
             assert abs((dp - dm) - spec.vol_sqrt_t) <= 1e-12
 
-    def test_degenerate_raises(self):
-        with pytest.raises(DegenerateVolatilityError):
-            d_plus_minus(OptionSpec(50.0, 52.0, 0.04, 1.0, 0.0))
-        with pytest.raises(DegenerateVolatilityError):
-            d_plus_minus(OptionSpec(50.0, 52.0, 0.04, 0.0, 0.15))
+    def test_zero_vol_sqrt_t_gives_the_limits(self):
+        # log forward moneyness log(50/52) + 0.04 > 0 at zero vol, log(50/52) < 0 at
+        # zero expiry, and 0 at the money: d+ and d- share the limit
+        for spec, limit in ((OptionSpec(50.0, 52.0, 0.04, 1.0, 0.0), math.inf),
+                            (OptionSpec(50.0, 52.0, 0.04, 0.0, 0.15), -math.inf),
+                            (OptionSpec(50.0, 50.0, 0.04, 0.0, 0.15), 0.0)):
+            assert d_plus_minus(spec) == (limit, limit)
+            result = bs_call_price(spec)
+            assert (result.d_plus, result.d_minus) == (limit, limit)
+        # the limit the finite formula tends to as vol shrinks
+        dp, dm = d_plus_minus(OptionSpec(50.0, 52.0, 0.04, 1.0, 1e-12))
+        assert dp > 1e8 and dm > 1e8
 
 
 class TestCallPrice:

@@ -34,10 +34,11 @@ GOLDEN = {
     "clt_demo_two_point": (
         ["clt-demo", "--model", "two_point", "--variance", "0.0225", *LADDER],
         "a92ffa26ccc44981b6da1e9e7ac6e3fdbc7ed5b1ebec70d4ca79165827e16241"),
+    # the lindeberg_source diagnostic is gone: every Lindeberg value is analytic
     "lindeberg_poisson_jump": (
         ["lindeberg", "--model", "poisson_jump", "--jump-size", "1", "--intensity", "2",
          "--samples", "100000", "--seed", "42"],
-        "0ec9c4a205e6fb1c7990fe8b1c839d0fa20b73730693375b445467ab59fc3f01"),
+        "e53ec1eec28354358b0dc1824e030f5a3d17d4ce4a7df3454d14b8cbdca000c6"),
     # the fourth moment is two squares, not a fourth power: the last digit
     # of variance_std_error at horizon 0.25 (1.7704595405028295e-05 ->
     # 1.77045954050283e-05) and of intercept_std_error (5.0051926398784384e-05
@@ -55,10 +56,13 @@ GOLDEN = {
     "mc_196625_paths": (
         ["mc", *OPTION, "--vol", "0.15", "--paths", "196625", "--seed", "42"],
         "a922b939140589e59b46255142dd9909400be47b50a6ffcea602463c9373e031"),
+    # the lindeberg column is the closed-form tail, no longer the Monte Carlo
+    # estimate (0.022327463458216273 -> 0.022417887961715257 at n = 16), and
+    # the lindeberg_source diagnostic is gone
     "lindeberg_uniform_200017_samples": (
         ["lindeberg", "--model", "uniform", "--variance", "0.0225", "--samples", "200017",
          "--seed", "42"],
-        "b5adfa08e86ab2caebde6d6916ea9801ab3f3453ef7535f010c2b8e140a14df7"),
+        "72c273fbf881e210abcb59a7e02c5a2e6daa299931f019a684a571c222a5dd09"),
 }
 
 # commands hashed in every format below, beside the GOLDEN ones
@@ -76,7 +80,11 @@ MORE = {
 }
 ARGV = {**{name: argv for name, (argv, _) in GOLDEN.items()}, **MORE}
 
-# (command, format) -> sha256 of that report, for the formats GOLDEN leaves out
+# (command, format) -> sha256 of that report, for the formats GOLDEN leaves out.
+# The uniform and centered_exponential clt-demo and lindeberg reports carry
+# the closed-form Lindeberg tails, no longer Monte Carlo estimates (clt-demo
+# centered_exponential at n = 4096: 0.0038247959452624215 -> 0.003336963289382497);
+# their KS statistics, verdicts and mc_estimate columns keep their bits.
 DIGESTS = {
     ("price", "csv"): "6a5294998d1616c46491f325deb1f37ac7394f5fd8ade27e0b15de0e53582710",
     ("price", "text"): "e2b6e96494220fabec60342fed539470e8908d85a0d96b63487e3c8e7b8e06bf",
@@ -89,9 +97,9 @@ DIGESTS = {
     ("clt_demo_two_point", "text"):
         "bfd5fcb47aa5d934cb3d790b3db15860bc6054efdda041e810f252dd7038f555",
     ("lindeberg_poisson_jump", "csv"):
-        "f67316be7f97d8bf0bf4b8b3dff47c2e9f24b92752dbb5a8d10f5def23d43e9e",
+        "c03b1f97e4c984c34f9c53b0cc7caff5bd8b02a1c960e5103f10dac619a19564",
     ("lindeberg_poisson_jump", "text"):
-        "6adfcf587813100627f508ddc332f83140908d6bdff8b14c96e5dc51eeb5829d",
+        "5875dad4f87686a864da1b33df8e2764872dc034b9ac499875cc0f200c1bdf9b",
     ("var_linearity", "csv"): "439fd01111ffe39ca251df4c9e491fd0b70f40b0571a05fe8e481ae5277e58e6",
     ("var_linearity", "text"): "6ca10c721d2fee41a5dbf412493a477c5d29e310aca1d76f4c085f035ce8a4f1",
     ("clt_demo_poisson_jump", "csv"):
@@ -106,32 +114,32 @@ DIGESTS = {
     ("mc_196625_paths", "text"):
         "6d4299b6b84136eb116e8bbf6f0c64ee430abe94883dd331e6d3dd5d0dbc7d3e",
     ("lindeberg_uniform_200017_samples", "csv"):
-        "4a25066e7f95827d92b4bd1d814cc8eb51516f48a8e8486525f61fc06e7aaba3",
+        "69d64d1ece7f6e4a49638ee5b0423b3dd9d348466900f4d96084f1426f7295fe",
     ("lindeberg_uniform_200017_samples", "text"):
-        "3924bcfe810b5cee782c69095d76dbf4a203afdab3d07dacfbbaab9fef849d34",
+        "df364dbb53587044e01acd64fe4599dce34d9627b4e2c321f799d413c1fe77a8",
     ("clt_demo_uniform", "json"):
-        "44dc63c1279d31d95c45df08102d1dd1dcc6c2aac4342e27368198a74eb62d75",
+        "fa741c02824fec974a09173846b7160cf0c98a3302cb78b753d093b2d4cdbf52",
     ("clt_demo_uniform", "csv"):
-        "f2cfb13176e83e3114a3263f624df283042a31165f486cb317caa386d50d4531",
+        "706b63c2f8eed0ac7f75e086af449082e2a95fff2cd2a694caed111f16c3a7b6",
     ("clt_demo_uniform", "text"):
-        "7d96b28ccba4bc644537ff672c26095505ac3a0adee20ad2ed88e84d3a74f15a",
+        "f06472b4861fd065497bfb688df502b7557bd74c45c1a374bd5253c7859f07f0",
     ("clt_demo_centered_exponential", "json"):
-        "4ff022f0fa5fc15fce602fd7ef32292b183fdfb73fb6a0fc145f295f03d7777d",
+        "ab4946377b95ed91df2b250675ca32db32f52d071b3b10d25d3b6673e9a7df84",
     ("clt_demo_centered_exponential", "csv"):
-        "39b6508474d9d794467532bdac39334d369297cdd80315f66fa1747dd28cf825",
+        "b9b76906ea58776a47e6d4761a70d72f01900c01f19962ad7467d2c48d9f46cb",
     ("clt_demo_centered_exponential", "text"):
-        "97f4ecc532f53f9076fc937e1758b1888f43853a3da552441d98f897525d1305",
+        "2b988d64b029aaef00ebe47635e06fae14cdc977ed286553e67dec0985d5ec7b",
     ("clt_demo_normal", "json"):
         "46b9fe78994a8449083cf3b3bd45ca201b63a631beb244b87d88d070b35189d2",
     ("clt_demo_normal", "csv"): "795c91831c04a052a0e77e7cf00d904447bdc9c8bd9380670b9c46a43617e889",
     ("clt_demo_normal", "text"):
         "3764d7671778576c09cb2246fabcdfd3f209ca8c5ca3976cc5127b7bc3ae3a30",
     ("lindeberg_centered_exponential_150001_samples", "json"):
-        "fd7f626233ae51d5eb51ac66eefec06bec98181dae01c838f139bdcd6cc7cedb",
+        "f59906f9e4234926c430c73b241498dbc157578d9069697f60c4783fe8e7ef4c",
     ("lindeberg_centered_exponential_150001_samples", "csv"):
-        "53a936a826cec205358d552d886752f78b133b546c6ba6831bcd92d5fb4bd404",
+        "cadd6b6bc72e84d0af725c15176c71f1dae1857347b1d6886c92d8bab4f23a3d",
     ("lindeberg_centered_exponential_150001_samples", "text"):
-        "009d24ecdef4ac9522365c3975ca9d6fa14f0659e2c281e59ac2bddfd7fdda77",
+        "92acc5a93ca439fb07dbfa144a29099b3c3605e205b8b1513de6fed86211468a",
     ("var_linearity_poisson_jump_70000_samples", "json"):
         "da05b62564aca8359e439988a9e75f17878d1df6677d5c8c2c693ebebb306b6c",
     ("var_linearity_poisson_jump_70000_samples", "csv"):
