@@ -116,8 +116,8 @@ class IncrementModel:
             return v * (1.0 - r) * (1.0 + r + r * r) if r < 1.0 else 0.0
         c = epsilon / s
         if self.kind == "normal":
-            # 2*integral_c^inf z^2 phi(z) dz = 2*(c*phi(c) + 1 - N(c))
-            return v * 2.0 * (c * norm_pdf(c) + norm_cdf(-c))
+            # 2*integral_c^inf z^2 phi(z) dz = 2*(c*phi(c) + 1 - N(c)), empty once c overflows
+            return v * 2.0 * (c * norm_pdf(c) + norm_cdf(-c)) if c < math.inf else 0.0
         if self.kind == "centered_exponential":
             # Z/s + 1 ~ Exp(1), and -e^{-x}(x^2 + 1) is an antiderivative of
             # (x - 1)^2 e^{-x}: the tail above 1 + c, plus the one below 1 - c

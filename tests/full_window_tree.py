@@ -1,0 +1,49 @@
+"""The CRR lattice price weighed over the whole window of `binomial_weights`.
+
+An oracle for the cut walk of `bslab.tree.crr_tree_price`: it forms a term
+for every in-the-money node down to 2.3e-308 of the mode's weight, where
+the cut walk stops each sum once its terms fall under 2^-64 of the largest.
+Both sums are correctly rounded, so the two prices agree to the last bit
+unless a sum lies within about 2^-64 of a rounding boundary.
+"""
+
+from __future__ import annotations
+
+import math
+from array import array
+from itertools import chain
+
+from bslab.pricing import OptionSpec
+from bslab.tree import TreeParameterizationError, binomial_weights
+
+
+def _exact_sum(values: array) -> float:
+    """`math.fsum` of terms that rise and then fall, fed from the largest
+    outward: on terms that span the float range this order runs some 10x
+    faster than left to right."""
+    if not values:
+        return 0.0
+    peak = values.index(max(values))
+    return math.fsum(chain(reversed(values[:peak]), values[peak:]))
+
+
+def full_window_price(spec: OptionSpec, n: int) -> float:
+    """Discounted expected payoff of the n-step lattice over every node that
+    `binomial_weights` keeps; spec must have positive vol*sqrt(t)."""
+    dt = spec.expiry / n
+    step_vol = spec.volatility * math.sqrt(dt)
+    u = math.exp(step_vol)
+    d = 1.0 / u
+    p = (math.exp(spec.rate * dt) - d) / (u - d)
+    if not 0.0 < p < 1.0:
+        raise TreeParameterizationError(f"risk-neutral step probability {p!r} is outside (0, 1)")
+
+    lo, weights = binomial_weights(n, p)
+    # nodes rise with k, so walk down from the top until the call expires worthless
+    in_the_money = array("d")
+    for k in range(lo + len(weights) - 1, lo - 1, -1):
+        excess = spec.spot * math.exp((2 * k - n) * step_vol) - spec.strike
+        if excess <= 0.0:
+            break
+        in_the_money.append(weights[k - lo] * excess)
+    return math.exp(-spec.rate * spec.expiry) * _exact_sum(in_the_money) / _exact_sum(weights)

@@ -449,6 +449,24 @@ class TestCommandTable:
         assert out == "" and err.count("\n") == 1
         assert "numerical failure" in err and "Traceback" not in err
 
+    def test_overflowing_lattice_node_exits_two_with_one_line(self, capsys):
+        # vol*sqrt(t) = 40 over 1000 steps: the nodes that carry the price pass the
+        # largest double, and summing them printed price = inf
+        assert main(["tree", "--spot", "100", "--strike", "100", "--rate", "0.05", "--expiry",
+                     "1", "--vol", "40", "--steps", "1000"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("bslab tree: the lattice node") and "overflows" in err
+        assert err.endswith("use fewer steps\n")
+
+    def test_normal_lindeberg_tail_past_the_double_range_is_zero(self, capsys):
+        # epsilon/s overflows to inf, where the normal tail is empty
+        assert main(["lindeberg", "--model", "normal", "--variance", "1e-300", "--epsilon",
+                     "1e300", "--samples", "100", "--seed", "1", "--n-ladder", "16",
+                     "--format", "json"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and json.loads(out)["rows"][0]["lindeberg"] == 0.0
+
     def test_zero_volatility_json_keeps_infinite_d(self):
         code, text = run_cli(["price", "--spot", "100", "--strike", "90", "--rate", "0.05",
                               "--expiry", "1", "--vol", "0", "--format", "json"])

@@ -180,7 +180,7 @@ class TestLindebergTail:
 
     def test_truncation_past_the_double_range_gives_zero(self):
         # eps/s overflows to inf: e^{-1-c} is 0 and c^2 is inf, whose product is nan
-        for kind in ("two_point", "uniform", "centered_exponential"):
+        for kind in ("two_point", "uniform", "normal", "centered_exponential"):
             assert IncrementModel(kind, 1e-300).lindeberg_tail(1.0, 1e300) == 0.0
 
     def test_epsilon_domain(self):

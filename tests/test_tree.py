@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 import tracemalloc
 
@@ -7,6 +8,7 @@ import pytest
 
 from bslab.pricing import OptionSpec, bs_call_price, intrinsic_forward_value
 from bslab.tree import TreeConfig, TreeParameterizationError, binomial_weights, crr_tree_price
+from full_window_tree import full_window_price
 
 EXAMPLE = OptionSpec(spot=50.0, strike=52.0, rate=0.04, expiry=1.0, volatility=0.15)
 DEEP_OTM = OptionSpec(spot=50.0, strike=500.0, rate=0.04, expiry=1.0, volatility=0.15)
@@ -122,8 +124,23 @@ def exact_lattice_price(spec, n):
         return mpmath.exp(-mpmath.mpf(spec.rate) * spec.expiry) * payoff / total
 
 
-@pytest.mark.parametrize("n", [10, 1000, 10_000, 100_000])
-@pytest.mark.parametrize("spec", [EXAMPLE, DEEP_OTM, DEEP_ITM], ids=["atm", "deep_otm", "deep_itm"])
+# vol*sqrt(t) of 9, 12 and 20 at moneyness e^{+-3}: the payoff terms peak vol*sqrt(t)
+# binomial standard deviations above the mode and reach on past where the weights
+# fall under 2^-64 of the mode's, so a walk cut on the weights alone prices them low
+WIDE = {f"vol{vst}_{side}": OptionSpec(spot=50.0, strike=50.0 * math.exp(m), rate=0.04,
+                                       expiry=t, volatility=vst / math.sqrt(t))
+        for vst, t in ((9, 1.0), (12, 4.0), (20, 0.25))
+        for side, m in (("otm", 3.0), ("itm", -3.0))}
+# the 40-digit sum takes about a second at 10^5 steps, so the wide contracts stop at 10^4
+EXACT_CASES = (
+    [pytest.param(spec, n, id=f"{name}-{n}")
+     for name, spec in (("atm", EXAMPLE), ("deep_otm", DEEP_OTM), ("deep_itm", DEEP_ITM))
+     for n in (10, 1000, 10_000, 100_000)]
+    + [pytest.param(spec, n, id=f"{name}-{n}") for name, spec in WIDE.items()
+       for n in (10, 1000, 10_000)])
+
+
+@pytest.mark.parametrize("spec, n", EXACT_CASES)
 def test_matches_exact_lattice_sum(spec, n):
     price = crr_tree_price(spec, TreeConfig(n)).price
     exact = exact_lattice_price(spec, n)
@@ -186,3 +203,50 @@ def test_a_million_steps_stay_small_in_memory():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2 ** 20
+
+
+def test_a_million_steps_walk_only_the_nodes_a_double_sum_can_see():
+    tracemalloc.start()
+    try:
+        crr_tree_price(EXAMPLE, TreeConfig(1_000_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the full window down to 2.3e-308 of the mode's weight peaks at 0.73 MiB
+    assert peak < 2 ** 19
+
+
+# bench-range contracts: spot 40-60, moneyness e^{+-0.2}, vol 0.1-0.4, expiry 0.5-2
+BENCH_RANGE = [OptionSpec(spot=44.0, strike=48.5, rate=0.01, expiry=0.6, volatility=0.12),
+               OptionSpec(spot=51.3, strike=46.0, rate=0.055, expiry=1.9, volatility=0.38),
+               OptionSpec(spot=58.7, strike=60.2, rate=0.03, expiry=1.2, volatility=0.25)]
+
+
+@pytest.mark.parametrize("n", [10, 100, 1000, 10_000, 100_000, 1_000_000])
+@pytest.mark.parametrize("spec", [EXAMPLE] + BENCH_RANGE, ids=["readme", "bench0", "bench1",
+                                                                "bench2"])
+def test_cut_walk_matches_the_full_window_to_the_bit(spec, n):
+    assert crr_tree_price(spec, TreeConfig(n)).price == full_window_price(spec, n)
+
+
+def test_cut_walk_matches_the_full_window_over_a_sweep():
+    # moneyness e^{+-3}, vol*sqrt(t) 0.01-30, steps 1-10^5; the sums differ only
+    # when one lies within about 2^-64 of a rounding boundary
+    rnd = random.Random(20181)
+    compared = 0
+    while compared < 2000:
+        spot = 10 ** rnd.uniform(-2.0, 4.0)
+        expiry = 10 ** rnd.uniform(-2.0, 1.0)
+        spec = OptionSpec(spot=spot, strike=spot * math.exp(rnd.uniform(-3.0, 3.0)),
+                          rate=rnd.uniform(0.0, 0.1), expiry=expiry,
+                          volatility=10 ** rnd.uniform(-2.0, math.log10(30.0)) / math.sqrt(expiry))
+        n = int(10 ** rnd.uniform(0.0, 5.0))
+        try:
+            reference = full_window_price(spec, n)
+        except TreeParameterizationError:  # exp(r*t/n) above u: both refuse
+            with pytest.raises(TreeParameterizationError):
+                crr_tree_price(spec, TreeConfig(n))
+            continue
+        price = crr_tree_price(spec, TreeConfig(n)).price
+        assert abs(price - reference) <= 2 * math.ulp(reference), (spec, n)
+        compared += 1
