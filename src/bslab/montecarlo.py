@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pricing import (NormalParams, OptionSpec, PriceResult, d_plus_minus, degenerate_result,
-                      require_count, risk_neutral_params)
+                      discount_factor, require_count, risk_neutral_params)
 from .rng import block_mean_m2, check_seed, map_blocks, normal_stream
 
 
@@ -51,7 +51,7 @@ def mc_price(spec: OptionSpec, cfg: McConfig) -> PriceResult:
                                  detail={"paths": cfg.paths, "seed": cfg.seed, "degenerate": True})
 
     params = risk_neutral_params(spec)
-    disc = math.exp(-spec.rate * spec.expiry)
+    disc = discount_factor(spec)
 
     def discounted_payoff(lo: int, hi: int) -> np.ndarray:
         # disc * max(spot * e^y - strike, 0), in place over the block

@@ -37,7 +37,7 @@ def norm_cdf(x):
     Raises ValueError on non-finite input. The result is guaranteed to lie
     in [0, 1] because erfc maps into [0, 2].
     """
-    if isinstance(x, (int, float)):
+    if type(x) is float or isinstance(x, (int, float)):  # a float skips the tuple check
         if not math.isfinite(x):
             raise ValueError(f"norm_cdf requires finite input, got {x!r}")
         return 0.5 * math.erfc(-x / _SQRT2)

@@ -4,7 +4,15 @@ no-arbitrage identities tying them together.
 The closed form is C = spot*N(d+) - strike*exp(-rate*expiry)*N(d-). When
 volatility*sqrt(expiry) is zero the formula degenerates (it divides by that
 quantity), and the price is defined by its continuous limit
-max(spot - strike*exp(-rate*expiry), 0).
+max(spot - strike*exp(-rate*expiry), 0); so it is when volatility*sqrt(expiry)
+is so small that d+- overflow. A discounted strike past the largest double
+fails in one line that names strike, rate and expiry.
+
+bs_call_price is the hot path (a PriceResult per contract), so it takes
+volatility*sqrt(expiry) once and hands it to the one d+- helper, and
+PriceResult's __init__ writes its checked fields straight into the instance
+dict: the __init__ a frozen dataclass generates makes one object.__setattr__
+call per field, which was two thirds of a closed-form price's cost.
 """
 
 from __future__ import annotations
@@ -16,6 +24,8 @@ from dataclasses import dataclass
 from .normal import norm_cdf
 
 _METHODS = ("closed_form", "tree", "monte_carlo")
+_NORMAL_MIN = 2.0 ** -1022  # the smallest normal double
+_INF = math.inf  # one global lookup on the closed-form path, where math.inf takes two
 
 
 def _require_finite(name: str, value, positive: bool = False) -> float:
@@ -74,6 +84,9 @@ class OptionSpec:
             raise ValueError(f"expiry must be nonnegative, got {self.expiry}")
         if self.volatility < 0.0:
             raise ValueError(f"volatility must be nonnegative, got {self.volatility}")
+        if self.vol_sqrt_t == math.inf:
+            raise ValueError(f"volatility*sqrt(expiry) must be finite, got volatility "
+                             f"{self.volatility} and expiry {self.expiry}")
 
     @property
     def vol_sqrt_t(self) -> float:
@@ -94,9 +107,12 @@ class NormalParams:
             raise ValueError(f"std_dev must be nonnegative, got {self.std_dev}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PriceResult:
-    """A price plus diagnostics; std_error only for stochastic methods."""
+    """A price plus diagnostics; std_error only for stochastic methods.
+
+    A frozen dataclass with a written-out __init__ (see the module docstring).
+    """
 
     price: float
     d_plus: float
@@ -105,51 +121,85 @@ class PriceResult:
     std_error: float | None = None
     detail: dict | None = None
 
-    def __post_init__(self) -> None:
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if self.price < 0.0:
-            raise ValueError(f"price must be nonnegative, got {self.price}")
-        if self.std_error is not None and self.std_error < 0.0:
-            raise ValueError(f"std_error must be nonnegative, got {self.std_error}")
+    def __init__(self, price: float, d_plus: float, d_minus: float, method: str,
+                 std_error: float | None = None, detail: dict | None = None) -> None:
+        if method not in _METHODS:
+            raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
+        if price < 0.0:
+            raise ValueError(f"price must be nonnegative, got {price}")
+        if std_error is not None and std_error < 0.0:
+            raise ValueError(f"std_error must be nonnegative, got {std_error}")
+        # item stores into the instance's own dict skip the frozen __setattr__
+        fields = self.__dict__
+        fields["price"] = price
+        fields["d_plus"] = d_plus
+        fields["d_minus"] = d_minus
+        fields["method"] = method
+        fields["std_error"] = std_error
+        fields["detail"] = detail
+
+
+def _d_pair(spec: OptionSpec, s: float) -> tuple[float, float]:
+    """d+- = m/s +- s/2 for s = volatility*sqrt(expiry), where m is the log
+    forward moneyness log(e^{rt}*spot/strike). When s is zero both are at
+    their limit: infinite with the sign of m, or 0 at the money; a subnormal
+    s whose m/s overflows gives the same infinite limit."""
+    ratio = spec.spot / spec.strike
+    # log(e^{rt} * spot / strike), written to avoid the exp/log round trip; a
+    # ratio that overflows, underflows or is subnormal (and so has lost bits)
+    # takes the logs one by one
+    m = (math.log(ratio) if _NORMAL_MIN <= ratio < _INF
+         else math.log(spec.spot) - math.log(spec.strike)) + spec.rate * spec.expiry
+    if s:
+        return m / s + 0.5 * s, m / s - 0.5 * s
+    d = math.copysign(_INF, m) if m else 0.0
+    return d, d
 
 
 def d_plus_minus(spec: OptionSpec) -> tuple[float, float]:
-    """d+- = log(e^{rt}*spot/strike)/(vol*sqrt(t)) +- vol*sqrt(t)/2. When
-    volatility*sqrt(expiry) is zero both are at their limit: infinite, with
-    the sign of the log forward moneyness, or 0 at the money."""
-    # log(e^{rt} * spot / strike), written to avoid the exp/log round trip
-    m = math.log(spec.spot / spec.strike) + spec.rate * spec.expiry
-    s = spec.vol_sqrt_t
-    if s == 0.0:
-        d = math.copysign(math.inf, m) if m else 0.0
-        return d, d
-    return m / s + 0.5 * s, m / s - 0.5 * s
+    """d+- = log(e^{rt}*spot/strike)/(vol*sqrt(t)) +- vol*sqrt(t)/2, at their
+    limit when volatility*sqrt(expiry) is zero or too small for them to be
+    finite (_d_pair)."""
+    return _d_pair(spec, spec.vol_sqrt_t)
+
+
+def discount_factor(spec: OptionSpec) -> float:
+    """exp(-rate*expiry); ValueError naming strike, rate and expiry when the
+    discounted strike strike*exp(-rate*expiry) overflows a double."""
+    try:
+        disc = math.exp(-spec.rate * spec.expiry)
+    except OverflowError:  # exp itself passed the largest double
+        disc = math.inf
+    if spec.strike * disc == _INF:
+        raise ValueError(f"the discounted strike strike*exp(-rate*expiry) overflows a double at "
+                         f"strike={spec.strike}, rate={spec.rate}, expiry={spec.expiry}")
+    return disc
 
 
 def intrinsic_forward_value(spec: OptionSpec) -> float:
     """Deterministic-limit price max(spot - strike*e^{-rt}, 0)."""
-    return max(spec.spot - spec.strike * math.exp(-spec.rate * spec.expiry), 0.0)
+    return max(spec.spot - spec.strike * discount_factor(spec), 0.0)
 
 
 def degenerate_result(spec: OptionSpec, method: str, **fields) -> PriceResult:
-    """Every pricer's result when volatility*sqrt(expiry) is zero: the
-    deterministic-limit price, with d+- at their limit (d_plus_minus)."""
+    """Every pricer's result when volatility*sqrt(expiry) is zero (and the
+    closed form's when d+- are at their limit): the deterministic-limit
+    price, with d+- from d_plus_minus."""
     dp, dm = d_plus_minus(spec)
     return PriceResult(price=intrinsic_forward_value(spec), d_plus=dp, d_minus=dm, method=method,
                        **fields)
 
 
 def bs_call_price(spec: OptionSpec) -> PriceResult:
-    """Closed-form call price; degenerates to the deterministic limit when
-    volatility*sqrt(expiry) is zero."""
-    if spec.vol_sqrt_t == 0.0:
-        return degenerate_result(spec, "closed_form")
-    dp, dm = d_plus_minus(spec)
-    raw = (spec.spot * norm_cdf(dp)
-           - spec.strike * math.exp(-spec.rate * spec.expiry) * norm_cdf(dm))
-    # deep out-of-the-money rounding can leave a tiny negative difference
-    return PriceResult(price=max(raw, 0.0), d_plus=dp, d_minus=dm, method="closed_form")
+    """Closed-form call price; the deterministic limit when d+- are at theirs
+    (volatility*sqrt(expiry) zero, or too small for m/s to be finite)."""
+    s = spec.vol_sqrt_t
+    dp, dm = _d_pair(spec, s)
+    if s and -_INF < dm and dp < _INF:  # d+- finite: not at their limit
+        raw = spec.spot * norm_cdf(dp) - spec.strike * discount_factor(spec) * norm_cdf(dm)
+        # deep out-of-the-money rounding can leave a tiny negative difference
+        return PriceResult(raw if raw > 0.0 else 0.0, dp, dm, "closed_form")
+    return degenerate_result(spec, "closed_form")
 
 
 def risk_neutral_params(spec: OptionSpec) -> NormalParams:

@@ -42,7 +42,8 @@ _INDEX_LIMIT = 2 ** 64 - 1
 BLOCK = 65_536
 # gamma*(k+1) for k < BLOCK: a block's counters are one add away from it
 _STEPS = np.arange(1, BLOCK + 1, dtype=np.uint64) * _GAMMA
-# per-thread uint64 scratch of BLOCK counters for uniform_stream
+# per-thread scratch of BLOCK entries: uint64 counters for uniform_stream, a
+# mask and counts for poisson_stream
 _local = threading.local()
 # most map_blocks pieces taken (running or finished) but not yet yielded
 _AHEAD = 4
@@ -248,16 +249,29 @@ def poisson_stream(seed: int, start: int, count: int, mean: float) -> np.ndarray
         raise ValueError(f"poisson mean must be in (0, 700), got {mean}")
     u = uniform_stream(seed, start, count)
     _, cdf = poisson_law(mean)
-    out = np.zeros(count)
-    k = 0
-    active = u > cdf[0]
-    while active.any():
-        k += 1
-        if k == len(cdf):
-            raise RuntimeError("poisson inverse transform failed to terminate")
-        out += active
-        active = u > cdf[k]
-    return out
+    # count a BLOCK at a time in this thread's scratch, then write the counts
+    # over their uniforms: u is the only fresh array. The counts stay below
+    # len(cdf) < 2000, so 16 bits hold them exactly
+    try:
+        above, counts = _local.poisson
+    except AttributeError:
+        above = np.empty(BLOCK, dtype=bool)
+        counts = np.empty(BLOCK, dtype=np.uint16)
+        _local.poisson = above, counts
+    for lo in range(0, count, BLOCK):
+        block = u[lo:lo + BLOCK]
+        active, out = above[:block.size], counts[:block.size]
+        out.fill(0)
+        np.greater(block, cdf[0], out=active)
+        k = 0
+        while active.any():
+            k += 1
+            if k == len(cdf):
+                raise RuntimeError("poisson inverse transform failed to terminate")
+            out += active
+            np.greater(block, cdf[k], out=active)
+        block[:] = out
+    return u
 
 
 def substream(seed: int, stream: int) -> int:

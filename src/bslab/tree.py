@@ -19,7 +19,7 @@ from array import array
 from dataclasses import dataclass
 
 from .pricing import (OptionSpec, PriceResult, d_plus_minus, degenerate_result,
-                      require_count)
+                      discount_factor, require_count)
 
 
 # most lattice steps: 10**9 weigh about 300K nodes (3.5 MiB, 0.2 s); time and
@@ -42,31 +42,47 @@ class TreeParameterizationError(ValueError):
     """The risk-neutral step probability left (0, 1); use more steps."""
 
 
-def _outward(n: int, p: float):
-    """Yield (k, w) for the Binomial(n, p) weights, scaled so the mode
-    min(n, floor((n+1)p)) weighs 1: from the mode up, then from below it
-    down, by the ratio w[k+1]/w[k] = (n-k)/(k+1) * p/(1-p).
+# past the smallest normal float the upward walk carries a weight times
+# 2^512 per lift, so the true weight is w * 2^(-512*lifts): a power of two,
+# exact, where the payoff terms of a contract with a large vol*sqrt(t) still
+# peak (vol*sqrt(t) binomial standard deviations above the mode)
+_LIFT_BITS = 512
+_LIFT_LOG = _LIFT_BITS * math.log(2.0)
+
+
+def _outward(n: int, p: float, lift: bool = False):
+    """Yield (k, w, lifts) for the Binomial(n, p) weights w * 2^(-512*lifts),
+    scaled so the mode min(n, floor((n+1)p)) weighs 1: from the mode up, then
+    from below it down, by the ratio w[k+1]/w[k] = (n-k)/(k+1) * p/(1-p).
 
     A direction ends when the caller sends a true value in reply to a node,
-    or at the first weight below the smallest normal float: waiting for 0.0
-    instead would crawl through the subnormals (a third of the row at 10^6
-    steps).
+    or where the next weight would fall below the smallest normal float:
+    waiting for 0.0 instead would crawl through the subnormals (a third of
+    the row at 10^6 steps). With lift set, the upward walk lifts w there and
+    goes on until the caller ends it; every weight above the floor keeps its
+    bits. lifts is 0 everywhere else.
     """
+    tiny = sys.float_info.min
     mode = min(n, int((n + 1) * p))
     odds = p / (1.0 - p)
-    w = 1.0
-    stop = yield mode, w
+    w, lifts = 1.0, 0
+    stop = yield mode, w, lifts
     for k in range(mode, n):
         if stop:
             break
-        w *= (n - k) / (k + 1) * odds
-        if w < sys.float_info.min:
-            break
-        stop = yield k + 1, w
+        ratio = (n - k) / (k + 1) * odds
+        below = w * ratio
+        if below < tiny:
+            if not lift:
+                break
+            w, lifts = math.ldexp(w, _LIFT_BITS), lifts + 1
+            below = w * ratio
+        w = below
+        stop = yield k + 1, w, lifts
     w = 1.0
     for k in range(mode, 0, -1):
         w *= k / (n - k + 1) / odds
-        if w < sys.float_info.min or (yield k - 1, w):
+        if w < tiny or (yield k - 1, w, 0):
             break
 
 
@@ -77,9 +93,9 @@ def binomial_weights(n: int, p: float) -> tuple[int, array]:
     at k = lo + j; the nodes left out weigh under 2.3e-308 of the mode's.
     """
     walk = _outward(n, p)
-    mode, w = next(walk)
+    mode, w, _ = next(walk)
     below, above = array("d"), array("d", [w])
-    for k, w in walk:
+    for k, w, _ in walk:
         (above if k > mode else below).append(w)
     below.reverse()
     return mode - len(below), below + above
@@ -94,6 +110,10 @@ def binomial_weights(n: int, p: float) -> tuple[int, array]:
 # deep out-of-the-money prices, whose terms peak vol*sqrt(t) binomial
 # standard deviations above the mode
 _CUT = 2.0 ** -64
+# exp(x) is a finite double exactly when x <= _LOG_MAX, and rounds to 0
+# below _LOG_ZERO
+_LOG_MAX = math.log(sys.float_info.max)
+_LOG_ZERO = -1075 * math.log(2.0)
 
 
 def crr_tree_price(spec: OptionSpec, cfg: TreeConfig) -> PriceResult:
@@ -101,10 +121,10 @@ def crr_tree_price(spec: OptionSpec, cfg: TreeConfig) -> PriceResult:
 
     Returns the discounted expected terminal payoff
     e^{-rt} * sum_k C(n,k) p^k (1-p)^{n-k} max(spot*u^k*d^{n-k} - strike, 0),
-    with each node spot*exp((2k-n)*vol*sqrt(t/n)) computed directly. One
-    outward walk from the mode gathers the weights and the in-the-money
-    terms until both fall past `_CUT`, and `math.fsum` rounds each sum
-    correctly. With zero volatility or zero expiry the lattice is a single
+    with each node spot*exp((2k-n)*vol*sqrt(t/n)) computed directly (its
+    term in logs if it passes the largest double). One outward walk from the
+    mode gathers the weights and the in-the-money terms until both fall past
+    `_CUT`, and `math.fsum` rounds each sum correctly. With zero volatility or zero expiry the lattice is a single
     deterministic path, and the deterministic-limit price is returned.
     """
     n = cfg.steps
@@ -116,6 +136,9 @@ def crr_tree_price(spec: OptionSpec, cfg: TreeConfig) -> PriceResult:
     u = math.exp(step_vol)
     d = 1.0 / u
     growth = math.exp(spec.rate * dt)
+    if u == d:
+        raise ValueError(f"expiry/steps = {dt:.6g} is too small for the lattice: the up and down "
+                         f"factors exp(+-vol*sqrt(expiry/steps)) both round to 1")
     p = (growth - d) / (u - d)
     if not 0.0 < p < 1.0:
         raise TreeParameterizationError(
@@ -123,36 +146,59 @@ def crr_tree_price(spec: OptionSpec, cfg: TreeConfig) -> PriceResult:
             f"steps={n}; increase steps until exp(r*t/n) lies between the "
             f"down and up factors")
 
+    disc = discount_factor(spec)
     spot, strike, exp = spec.spot, spec.strike, math.exp
+    log_spot, log_strike = math.log(spot), math.log(strike)
     weights, terms = array("d"), array("d")
-    largest = 0.0
-    walk = _outward(n, p)
-    k, w = next(walk)
+    largest, before = 0.0, -math.inf
+    walk = _outward(n, p, lift=True)
+    k, w, lifts = next(walk)
     mode = k
     while True:
-        weights.append(w)
+        if not lifts:  # a lifted weight is under 2^-1022 of the mode's: no sum of weights sees it
+            weights.append(w)
+        x = (2 * k - n) * step_vol
         try:
-            excess = spot * exp((2 * k - n) * step_vol) - strike
-        except OverflowError:  # exp itself passed the largest double
+            excess = spot * exp(x) - strike
+        except OverflowError:  # exp alone passed the largest double
             excess = math.inf
         if excess > 0.0:
-            if excess == math.inf:
-                raise ValueError(f"the lattice node spot*exp((2k-n)*vol*sqrt(t/n)) overflows "
-                                 f"a double at steps={n}; use fewer steps")
-            term = w * excess
+            if excess < math.inf:
+                term = w * excess
+                if lifts:
+                    term = math.ldexp(term, -_LIFT_BITS * lifts)
+            else:  # the node passed the largest double: weigh its excess in logs
+                log_node = log_spot + x
+                shortfall = exp(log_strike - log_node)  # strike/node, under 1 but for rounding
+                log_term = (math.log(w) - lifts * _LIFT_LOG + log_node
+                            + (math.log1p(-shortfall) if shortfall < 1.0 else -math.inf))
+                term = exp(log_term) if log_term <= _LOG_MAX else math.inf
             terms.append(term)
             if term > largest:
                 largest = term
-            done = w < _CUT and term < _CUT * largest
+            done = (lifts or w < _CUT) and term < _CUT * largest
+        elif lifts:
+            # past the floor and out of the money: every higher term is under
+            # weight*node, which is log-concave in k, so once that falls and
+            # rounds to 0 every later term does too
+            log_weighted = math.log(w) - lifts * _LIFT_LOG + log_spot + x
+            done = log_weighted < before and log_weighted < _LOG_ZERO
+            before = log_weighted
         else:
             # below the mode every lower node is out of the money too; above
             # it, a higher node may still pay
             done = w < _CUT and k < mode
         try:
-            k, w = walk.send(done)
+            k, w, lifts = walk.send(done)
         except StopIteration:
             break
-    price = math.exp(-spec.rate * spec.expiry) * math.fsum(terms) / math.fsum(weights)
+    try:
+        price = disc * math.fsum(terms) / math.fsum(weights)
+    except OverflowError:  # an infinite term, or a partial sum past the largest double
+        price = math.inf
+    if price == math.inf:
+        raise ValueError(f"the payoff sum of the lattice overflows a double at steps={n}; "
+                         f"use fewer steps")
 
     dp, dm = d_plus_minus(spec)
     detail = {"steps": n, "terminal_nodes": n + 1, "up_factor": u, "down_factor": d,

@@ -1,10 +1,11 @@
 """The CRR lattice price weighed over the whole window of `binomial_weights`.
 
 An oracle for the cut walk of `bslab.tree.crr_tree_price`: it forms a term
-for every in-the-money node down to 2.3e-308 of the mode's weight, where
-the cut walk stops each sum once its terms fall under 2^-64 of the largest.
-Both sums are correctly rounded, so the two prices agree to the last bit
-unless a sum lies within about 2^-64 of a rounding boundary.
+for every in-the-money node down to 2.3e-308 of the mode's weight, and on
+above the window until the terms round to 0, where the cut walk stops each
+sum once its terms fall under 2^-64 of the largest. Both sums are correctly
+rounded, so the two prices agree to the last bit unless a sum lies within
+about 2^-64 of a rounding boundary.
 """
 
 from __future__ import annotations
@@ -27,9 +28,44 @@ def _exact_sum(values: array) -> float:
     return math.fsum(chain(reversed(values[:peak]), values[peak:]))
 
 
+def _terms_above(spec: OptionSpec, n: int, step_vol: float, p: float, top: int,
+                 weight: float) -> array:
+    """In-the-money terms of the nodes above `top`, the window's highest
+    node, of weight `weight`: the window's recurrence carried on with each
+    weight held as a mantissa and a binary exponent (math.frexp), so that it
+    can pass the smallest normal float. A node past the largest double is
+    weighed in logs. Ends at the top of the lattice, or once weight*node,
+    which is log-concave in k, falls and rounds to 0."""
+    odds = p / (1.0 - p)
+    log2, log_spot, log_strike = math.log(2.0), math.log(spec.spot), math.log(spec.strike)
+    m, e = math.frexp(weight)
+    terms, before = array("d"), -math.inf
+    for k in range(top + 1, n + 1):
+        m, shift = math.frexp(m * ((n - k + 1) / k * odds))
+        e += shift
+        x = (2 * k - n) * step_vol
+        log_weighted_node = math.log(m) + e * log2 + log_spot + x
+        if before > log_weighted_node and log_weighted_node < -1075 * log2:
+            break
+        before = log_weighted_node
+        try:
+            excess = spec.spot * math.exp(x) - spec.strike
+        except OverflowError:
+            excess = math.inf
+        if excess == math.inf:
+            log_node = log_spot + x
+            terms.append(math.exp(log_weighted_node
+                                  + math.log1p(-math.exp(log_strike - log_node))))
+        elif excess > 0.0:
+            terms.append(math.ldexp(m * excess, e))
+    return terms
+
+
 def full_window_price(spec: OptionSpec, n: int) -> float:
     """Discounted expected payoff of the n-step lattice over every node that
-    `binomial_weights` keeps; spec must have positive vol*sqrt(t)."""
+    `binomial_weights` keeps and the in-the-money nodes above them (their
+    weights are under 2.3e-308 of the mode's, so only the payoff sum sees
+    them); spec must have positive vol*sqrt(t)."""
     dt = spec.expiry / n
     step_vol = spec.volatility * math.sqrt(dt)
     u = math.exp(step_vol)
@@ -46,4 +82,5 @@ def full_window_price(spec: OptionSpec, n: int) -> float:
         if excess <= 0.0:
             break
         in_the_money.append(weights[k - lo] * excess)
+    in_the_money.extend(_terms_above(spec, n, step_vol, p, lo + len(weights) - 1, weights[-1]))
     return math.exp(-spec.rate * spec.expiry) * _exact_sum(in_the_money) / _exact_sum(weights)

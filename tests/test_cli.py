@@ -437,27 +437,70 @@ class TestCommandTable:
         assert out == "" and err.count("\n") == 1
         assert err.startswith(f"bslab price: numerical failure ({type(exc).__name__}: {exc})")
 
-    @pytest.mark.parametrize("argv", [
-        ["price", "--spot", "50", "--strike", "52", "--rate", "-1000", "--expiry", "1",
-         "--vol", "0.15"],
-        ["tree", "--spot", "50", "--strike", "52", "--rate", "0.04", "--expiry", "1e-300",
-         "--vol", "0.15", "--steps", "10"],
-    ], ids=["price_rate_overflow", "tree_expiry_underflow"])
-    def test_unguarded_arithmetic_failure_exits_two_with_one_line(self, argv, capsys):
+    @pytest.mark.parametrize("argv, named", [
+        (["price", "--spot", "50", "--strike", "52", "--rate", "-1000", "--expiry", "1",
+          "--vol", "0.15"], "discounted strike strike*exp(-rate*expiry) overflows"),
+        (["mc", "--spot", "50", "--strike", "52", "--rate", "-1000", "--expiry", "1",
+          "--vol", "0.15", "--paths", "100", "--seed", "1"],
+         "discounted strike strike*exp(-rate*expiry) overflows"),
+        (["tree", "--spot", "50", "--strike", "52", "--rate", "0.04", "--expiry", "1e-300",
+          "--vol", "0.15", "--steps", "100"], "expiry/steps = 1e-302 is too small"),
+    ], ids=["price_rate_overflow", "mc_rate_overflow", "tree_expiry_underflow"])
+    def test_out_of_range_input_exits_two_naming_it(self, argv, named, capsys):
+        # these reached the ArithmeticError backstop, whose line names no input
         assert main(argv) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err.count("\n") == 1
-        assert "numerical failure" in err and "Traceback" not in err
+        assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(f"bslab {argv[0]}: ") and named in err
+        assert "numerical failure" not in err
 
     def test_overflowing_lattice_node_exits_two_with_one_line(self, capsys):
-        # vol*sqrt(t) = 40 over 1000 steps: the nodes that carry the price pass the
-        # largest double, and summing them printed price = inf
-        assert main(["tree", "--spot", "100", "--strike", "100", "--rate", "0.05", "--expiry",
-                     "1", "--vol", "40", "--steps", "1000"]) == 2
+        # spot 1e308: the weighted nodes near the mode are finite, their sum is not
+        assert main(["tree", "--spot", "1e308", "--strike", "1e-308", "--rate", "0.04",
+                     "--expiry", "1", "--vol", "0.15", "--steps", "10000"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1 and "Traceback" not in err
-        assert err.startswith("bslab tree: the lattice node") and "overflows" in err
-        assert err.endswith("use fewer steps\n")
+        assert err == ("bslab tree: the payoff sum of the lattice overflows a double at "
+                       "steps=10000; use fewer steps\n")
+
+    @pytest.mark.parametrize("spot, vol, steps", [("1e-250", "36", "10000"),
+                                                  ("1e-250", "40", "10000"),
+                                                  ("100", "40", "1000")])
+    def test_wide_lattice_past_the_float_floor_prices_the_spot(self, spot, vol, steps, capsys):
+        # the payoff terms peak vol*sqrt(t) binomial standard deviations above
+        # the mode, where the weights are below the smallest normal float: the
+        # lattice stopped there and priced 9.68e-251 at vol 36 and 1.67e-252 at
+        # vol 40; at spot 100 those nodes pass the largest double, which exited 2
+        assert main(["tree", "--spot", spot, "--strike", spot, "--rate", "0.04", "--expiry", "1",
+                     "--vol", vol, "--steps", steps, "--format", "json"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["results"]["price"] == pytest.approx(float(spot), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("spot, strike, price", [("1e308", "1e-308", 1e308),
+                                                     ("1e-308", "1e308", 0.0)],
+                             ids=["spot_over_strike_overflows", "spot_over_strike_underflows"])
+    def test_moneyness_past_the_double_range_prices(self, spot, strike, price, capsys):
+        assert main(["price", "--spot", spot, "--strike", strike, "--rate", "0.04",
+                     "--expiry", "1", "--vol", "0.15", "--format", "json"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and json.loads(out)["results"]["price"] == price
+
+    def test_subnormal_vol_sqrt_t_prices_the_deterministic_limit(self, capsys):
+        # (log 2)/1e-320 overflows, so d+- are at the zero-volatility limit
+        assert main(["price", "--spot", "100", "--strike", "50", "--rate", "0", "--expiry", "1",
+                     "--vol", "1e-320", "--format", "json"]) == 0
+        out, err = capsys.readouterr()
+        results = json.loads(out)["results"]
+        assert err == "" and results == {"price": 50.0, "d_plus": math.inf,
+                                         "d_minus": math.inf}
+
+    def test_overflowing_vol_sqrt_t_exits_one_naming_it(self, capsys):
+        assert main(["price", "--spot", "50", "--strike", "52", "--rate", "0.04",
+                     "--expiry", "1e300", "--vol", "1e300"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("volatility*sqrt(expiry) must be finite, got volatility "
+                                     "1e+300 and expiry 1e+300\n")
 
     def test_normal_lindeberg_tail_past_the_double_range_is_zero(self, capsys):
         # epsilon/s overflows to inf, where the normal tail is empty

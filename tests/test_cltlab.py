@@ -165,15 +165,15 @@ class TestHelperThread:
             sys.setswitchinterval(interval)
 
 
-# warm up, then count minor page faults over one two_point row-sum call in a
-# process that has not imported scipy.stats (as in a CLI run)
+# warm up, then count minor page faults over one row-sum call in a process
+# that has not imported scipy.stats (as in a CLI run)
 _FAULTS_PER_BLOCK = """
 import resource, sys
 import bslab.rng as rng
 from bslab.cltlab import ArraySpec, sample_row_sum
 from bslab.increments import IncrementModel
 rng._usable_cpus = lambda: {cpus}
-spec = ArraySpec(IncrementModel.two_point(0.0225), 1.0, 4096, 5000, 7)
+spec = ArraySpec(IncrementModel.{model}, 1.0, 4096, 5000, 7)
 blocks = -(-spec.samples // (rng.BLOCK // spec.rows))
 sample_row_sum(spec)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -185,11 +185,16 @@ print(faults / blocks)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
-@pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "pooled"])
-def test_row_sums_reuse_their_scratch_instead_of_faulting(cpus):
+@pytest.mark.parametrize("model, cpus", [
+    ("two_point(0.0225)", 1), ("two_point(0.0225)", 2),
+    ("poisson_jump(1.0, 2.0)", 1), ("poisson_jump(1.0, 2.0)", 2),
+], ids=["serial", "pooled", "poisson_jump-serial", "poisson_jump-pooled"])
+def test_row_sums_reuse_their_scratch_instead_of_faulting(model, cpus):
     # a block allocated afresh and handed back to the kernel costs 223
-    # minor faults; reused scratch costs none
-    done = subprocess.run([sys.executable, "-c", _FAULTS_PER_BLOCK.format(cpus=cpus)],
+    # minor faults (poisson_jump's counts and masks cost about 300); reused
+    # scratch costs none
+    done = subprocess.run([sys.executable, "-c",
+                           _FAULTS_PER_BLOCK.format(model=model, cpus=cpus)],
                           check=True, capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert float(done.stdout) < 8.0

@@ -1,9 +1,17 @@
+import copy
+import dataclasses
 import math
+import pickle
+import random
+import sys
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bslab.normal import norm_pdf
+from bslab.normal import norm_cdf, norm_pdf
 from bslab.pricing import (NormalParams, OptionSpec, PriceResult, bs_call_price, d_plus_minus,
                            intrinsic_forward_value, lognormal_call_expectation,
                            lognormal_h_plus_minus, risk_neutral_params)
@@ -93,6 +101,29 @@ class TestDPlusMinus:
         dp, dm = d_plus_minus(OptionSpec(50.0, 52.0, 0.04, 1.0, 1e-12))
         assert dp > 1e8 and dm > 1e8
 
+    @pytest.mark.parametrize("spot, strike", [(1e308, 1e-308), (1e-308, 1e308),
+                                              (8.879616580963038e-294, 1.5650753709270025e+28)],
+                             ids=["overflow", "underflow", "subnormal"])
+    def test_moneyness_outside_the_normal_doubles_matches_mpmath(self, spot, strike):
+        # spot/strike overflows, underflows to 0, or is subnormal (5.7e-322, 13
+        # significant bits), so the log moneyness comes from the two logs
+        spec = OptionSpec(spot, strike, 0.04, 2.0, 0.15)
+        with mpmath.workdps(40):
+            s = mpmath.mpf(0.15) * mpmath.sqrt(2)
+            m = mpmath.log(mpmath.mpf(spot) / mpmath.mpf(strike)) + mpmath.mpf(0.04) * 2
+            exact = (m / s + s / 2, m / s - s / 2)
+        for d, ref in zip(d_plus_minus(spec), exact):
+            assert abs(d - ref) <= 1e-15 * abs(ref)
+
+    def test_subnormal_vol_sqrt_t_gives_the_limits(self):
+        # m/s overflows for s = 1e-320: the same limit as s = 0
+        for spot, limit in ((100.0, math.inf), (25.0, -math.inf)):
+            spec = OptionSpec(spot, 50.0, 0.0, 1.0, 1e-320)
+            assert d_plus_minus(spec) == (limit, limit)
+            result = bs_call_price(spec)
+            assert (result.d_plus, result.d_minus) == (limit, limit)
+            assert result.price == max(spot - 50.0, 0.0)
+
 
 class TestCallPrice:
     def test_golden_example(self):
@@ -145,6 +176,50 @@ class TestCallPrice:
             price = bs_call_price(spec).price
             lower = intrinsic_forward_value(spec)
             assert lower - 1e-12 <= price <= spec.spot + 1e-12
+
+    def test_bits_match_the_closed_form_over_a_sweep(self):
+        # every contract whose formula below returns a finite price: spot/strike a
+        # normal double, strike*exp(-rate*expiry) finite, vol*sqrt(t) above 0
+        rnd = random.Random(1919)
+        compared = 0
+        for _ in range(20_000):
+            spot, strike = 10 ** rnd.uniform(-150, 150), 10 ** rnd.uniform(-150, 150)
+            if rnd.random() < 0.5:
+                strike = spot * math.exp(rnd.uniform(-3.0, 3.0))
+            rate, expiry = rnd.uniform(-1.0, 1.0), 10 ** rnd.uniform(-6.0, 2.0)
+            vol = 10 ** rnd.uniform(-6.0, 1.0)
+            spec = OptionSpec(spot, strike, rate, expiry, vol)
+            m = math.log(spot / strike) + rate * expiry
+            s = vol * math.sqrt(expiry)
+            dp, dm = m / s + 0.5 * s, m / s - 0.5 * s
+            strike_pv = strike * math.exp(-rate * expiry)
+            if not (sys.float_info.min <= spot / strike and strike_pv < math.inf
+                    and math.isfinite(dp) and math.isfinite(dm)):
+                continue
+            expected = max(spot * norm_cdf(dp) - strike_pv * norm_cdf(dm), 0.0)
+            result = bs_call_price(spec)
+            assert (result.price, result.d_plus, result.d_minus) == (expected, dp, dm), spec
+            assert d_plus_minus(spec) == (dp, dm)
+            compared += 1
+        assert compared > 15_000
+
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @given(log_spot=st.floats(-300.0, 300.0), log_strike=st.floats(-300.0, 300.0),
+           rate=st.floats(-50.0, 50.0), expiry=st.floats(0.0, 1e3), vol=st.floats(0.0, 1e3))
+    def test_every_contract_prices_inside_the_bounds_or_names_an_input(
+            self, log_spot, log_strike, rate, expiry, vol):
+        spot, strike = 10.0 ** log_spot, 10.0 ** log_strike
+        spec = OptionSpec(spot, strike, rate, expiry, vol)
+        try:
+            price = bs_call_price(spec).price
+        except ValueError as exc:
+            assert any(name in str(exc) for name in ("strike", "rate", "expiry", "volatility"))
+            return
+        try:
+            lower = max(spot - strike * math.exp(-rate * expiry), 0.0)
+        except OverflowError:
+            lower = 0.0
+        assert lower - 1e-12 * spot <= price <= spot * (1.0 + 1e-12), spec
 
     def test_monotone_in_strike_and_volatility(self):
         rng = np.random.default_rng(5)
@@ -230,6 +305,40 @@ class TestPipelineIdentity:
 
 
 class TestPriceResult:
+    def test_is_a_frozen_dataclass_with_the_same_fields(self):
+        result = PriceResult(1.5, 0.25, 0.125, "tree", detail={"steps": 4})
+        assert dataclasses.is_dataclass(result)
+        assert [(f.name, f.default) for f in dataclasses.fields(PriceResult)] == [
+            ("price", dataclasses.MISSING), ("d_plus", dataclasses.MISSING),
+            ("d_minus", dataclasses.MISSING), ("method", dataclasses.MISSING),
+            ("std_error", None), ("detail", None)]
+        assert vars(result) == {"price": 1.5, "d_plus": 0.25, "d_minus": 0.125, "method": "tree",
+                                "std_error": None, "detail": {"steps": 4}}
+        for name in ("price", "method", "std_error", "detail"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(result, name, 2.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del result.price
+        assert result.price == 1.5
+
+    def test_repr_eq_hash_replace_pickle_and_copy(self):
+        result = PriceResult(price=3.0, d_plus=0.5, d_minus=0.25, method="monte_carlo",
+                             std_error=0.01)
+        assert repr(result) == ("PriceResult(price=3.0, d_plus=0.5, d_minus=0.25, "
+                                "method='monte_carlo', std_error=0.01, detail=None)")
+        same = PriceResult(3.0, 0.5, 0.25, "monte_carlo", 0.01)
+        assert result == same and hash(result) == hash(same)
+        assert result != PriceResult(3.0, 0.5, 0.25, "monte_carlo")
+        moved = dataclasses.replace(result, price=4.0)
+        assert moved.price == 4.0 and moved.std_error == 0.01 and result.price == 3.0
+        with pytest.raises(ValueError, match="price must be nonnegative"):
+            dataclasses.replace(result, price=-1.0)
+        for twin in (pickle.loads(pickle.dumps(result)), copy.copy(result),
+                     copy.deepcopy(result)):
+            assert twin == result and twin is not result
+        with pytest.raises(TypeError):  # a dict detail is unhashable, as before
+            hash(PriceResult(1.0, 0.0, 0.0, "tree", detail={}))
+
     def test_rejects_negative_price_and_bad_method(self):
         with pytest.raises(ValueError):
             PriceResult(price=-1.0, d_plus=0.0, d_minus=0.0, method="closed_form")

@@ -137,7 +137,17 @@ EXACT_CASES = (
      for name, spec in (("atm", EXAMPLE), ("deep_otm", DEEP_OTM), ("deep_itm", DEEP_ITM))
      for n in (10, 1000, 10_000, 100_000)]
     + [pytest.param(spec, n, id=f"{name}-{n}") for name, spec in WIDE.items()
-       for n in (10, 1000, 10_000)])
+       for n in (10, 1000, 10_000)]
+    # past the smallest normal float: the terms of vol*sqrt(t) = 36 and 40 peak
+    # where the weights are below it, the in-the-money nodes of floor_otm begin
+    # there, and at vol 40 the nodes that carry the price pass the largest double
+    + [pytest.param(OptionSpec(spot=1e-250, strike=1e-250, rate=0.04, expiry=1.0,
+                               volatility=vol), 10_000, id=f"vol{vol}_tiny-10000")
+       for vol in (36, 40)]
+    + [pytest.param(OptionSpec(spot=100.0, strike=100.0, rate=0.05, expiry=1.0, volatility=40.0),
+                    1000, id="vol40_huge_nodes-1000"),
+       pytest.param(OptionSpec(spot=100.0, strike=100.0 * math.exp(1.88), rate=0.04, expiry=1.0,
+                               volatility=0.05), 10_000, id="floor_otm-10000")])
 
 
 @pytest.mark.parametrize("spec, n", EXACT_CASES)
