@@ -28,12 +28,8 @@ KINDS = ("two_point", "uniform", "centered_exponential", "normal", "poisson_jump
 def _jump_variance(jump_size: float, intensity: float) -> float:
     """jump_size^2 * intensity; ValueError unless both and the product are
     positive finite floats (overflow and underflow both fail)."""
-    require_positive("jump_size", jump_size)
-    require_positive("intensity", intensity)
-    try:
-        v = jump_size ** 2 * intensity
-    except OverflowError:  # a float power past the largest double raises
-        v = math.inf
+    jump_size = require_positive("jump_size", jump_size)
+    v = jump_size * jump_size * require_positive("intensity", intensity)  # overflows to inf
     return require_positive(f"jump_size^2 * intensity = {jump_size}^2 * {intensity}", v)
 
 

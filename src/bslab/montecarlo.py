@@ -1,11 +1,14 @@
 """Monte Carlo call pricer under the risk-neutral lognormal law.
 
-Terminal log-returns are sampled with the counter-based streams from
-bslab.rng, so draw i depends only on (seed, i). The payoffs are reduced
-by rng.block_mean_m2 and the forward check's sums are taken over
-rng.map_blocks: both cut the paths into canonical rng.BLOCK-sized pieces
-from index 0 and combine them in order, so memory is O(block) for any
-number of paths and the results are bit-identical on one thread or two.
+Paths are in forward units: the terminal price over the forward spot*e^{rT}
+is g = exp(s*z - s^2/2), of mean 1, for s = vol*sqrt(T) and z from the
+counter-based normal stream of bslab.rng (draw i depends only on (seed, i)).
+The present value of the payoff is spot*max(g - kappa, 0), kappa =
+strike*e^{-rT}/spot, so no draw passes the largest double whatever the spot,
+and the mean and standard error are scaled by spot once. rng.block_mean_m2
+and rng.map_blocks cut the paths into canonical rng.BLOCK-sized pieces and
+combine them in order: memory is O(block) and the bits are the same on one
+thread or two.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pricing import (NormalParams, OptionSpec, PriceResult, d_plus_minus, degenerate_result,
-                      discount_factor, require_count, risk_neutral_params)
+from .pricing import (OptionSpec, PriceResult, d_plus_minus, degenerate_result, discount_factor,
+                      require_count)
 from .rng import block_mean_m2, check_seed, map_blocks, normal_stream
 
 
@@ -31,64 +34,49 @@ class McConfig:
         check_seed(self.seed)
 
 
-def _terminal_log_returns(params: NormalParams, cfg: McConfig, lo: int, hi: int) -> np.ndarray:
-    """Terminal log-returns for paths lo..hi-1."""
-    z = normal_stream(cfg.seed, lo, hi - lo)
-    z *= params.std_dev
-    z += params.mean
-    return z
+def _forward_units(spec: OptionSpec, cfg: McConfig, lo: int, hi: int) -> np.ndarray:
+    """Terminal prices over the forward, exp(s*z - s^2/2), for paths lo..hi-1."""
+    s = spec.vol_sqrt_t
+    g = normal_stream(cfg.seed, lo, hi - lo)
+    with np.errstate(over="ignore"):  # past s ~ 1e154 s*(z - s/2) overflows to -inf: g is 0
+        g -= 0.5 * s
+        g *= s
+    return np.exp(g, out=g)
 
 
 def mc_price(spec: OptionSpec, cfg: McConfig) -> PriceResult:
     """Average discounted payoff over cfg.paths sampled terminal prices.
 
-    std_error is the sample standard deviation over sqrt(paths). With zero
-    volatility the law is a point mass and the exact deterministic value is
-    returned with std_error 0.
+    std_error is the sample standard deviation over sqrt(paths). Zero
+    volatility is a point mass: its exact value, with std_error 0.
     """
     if spec.vol_sqrt_t == 0.0:
         return degenerate_result(spec, "monte_carlo", std_error=0.0,
                                  detail={"paths": cfg.paths, "seed": cfg.seed, "degenerate": True})
 
-    params = risk_neutral_params(spec)
-    disc = discount_factor(spec)
+    kappa = spec.strike * discount_factor(spec) / spec.spot
 
-    def discounted_payoff(lo: int, hi: int) -> np.ndarray:
-        # disc * max(spot * e^y - strike, 0), in place over the block
-        payoff = _terminal_log_returns(params, cfg, lo, hi)
-        np.exp(payoff, out=payoff)
-        payoff *= spec.spot
-        payoff -= spec.strike
-        np.maximum(payoff, 0.0, out=payoff)
-        payoff *= disc
-        return payoff
+    def payoff(lo: int, hi: int) -> np.ndarray:
+        g = _forward_units(spec, cfg, lo, hi)
+        g -= kappa
+        return np.maximum(g, 0.0, out=g)
 
-    with np.errstate(over="ignore", invalid="ignore"):  # a payoff overflow is rejected below
-        estimate, m2 = block_mean_m2(discounted_payoff, cfg.paths)
-    std_error = math.sqrt(m2 / (cfg.paths - 1)) / math.sqrt(cfg.paths)
-    if not (math.isfinite(estimate) and math.isfinite(std_error)):
+    mean, m2 = block_mean_m2(payoff, cfg.paths)
+    estimate = spec.spot * mean
+    std_error = spec.spot * (math.sqrt(m2 / (cfg.paths - 1)) / math.sqrt(cfg.paths))
+    if not (estimate < math.inf and std_error < math.inf):
         raise ValueError(f"the Monte Carlo estimate {estimate} +- {std_error} is not finite")
     dp, dm = d_plus_minus(spec)
-    return PriceResult(price=max(estimate, 0.0), d_plus=dp, d_minus=dm,
-                       method="monte_carlo", std_error=std_error,
-                       detail={"paths": cfg.paths, "seed": cfg.seed})
+    return PriceResult(price=estimate, d_plus=dp, d_minus=dm, method="monte_carlo",
+                       std_error=std_error, detail={"paths": cfg.paths, "seed": cfg.seed})
 
 
 def mc_forward_check(spec: OptionSpec, cfg: McConfig) -> float:
-    """Monte Carlo estimate of E[X_t] / (spot * e^{rt}).
+    """Monte Carlo estimate of E[X_t] / (spot * e^{rt}), the mean of g.
 
     Under the risk-neutral law the ratio is exactly 1; the estimator's
     standard error is sqrt((e^{vol^2 t} - 1)/paths). Zero volatility returns
-    exactly 1.0.
+    exactly 1.0, since every g is then 1.
     """
-    if spec.vol_sqrt_t == 0.0:
-        return 1.0
-    params = risk_neutral_params(spec)
-    rt = spec.rate * spec.expiry
-
-    def growth_sum(lo: int, hi: int) -> float:
-        y = _terminal_log_returns(params, cfg, lo, hi)
-        y -= rt
-        return float(np.exp(y, out=y).sum())
-
-    return math.fsum(map_blocks(growth_sum, cfg.paths)) / cfg.paths
+    sums = map_blocks(lambda lo, hi: float(_forward_units(spec, cfg, lo, hi).sum()), cfg.paths)
+    return math.fsum(sums) / cfg.paths

@@ -1,8 +1,9 @@
 """Recombining binomial lattice pricer (Cox-Ross-Rubinstein parameterization).
 
-Per step of length t/n the price moves by u = exp(vol*sqrt(t/n)) or d = 1/u
-with risk-neutral probability p = (exp(r*t/n) - d)/(u - d), so the one-step
-martingale identity p*u + (1-p)*d = exp(r*t/n) holds by construction.
+Per step of length t/n the price moves by u = e^x or d = 1/u, x = vol*sqrt(t/n),
+with risk-neutral probability p = (e^{r*t/n} - d)/(u - d), so the one-step
+martingale identity p*u + (1-p)*d = e^{r*t/n} holds by construction. p is taken
+as (expm1(r*t/n) - expm1(-x)) / (2*sinh(x)), which does not cancel near x = 0.
 
 The terminal row is Binomial(n, p), which concentrates within O(sqrt(n))
 nodes of its mode. One walk outward from the mode weighs the nodes and
@@ -22,9 +23,8 @@ from .pricing import (OptionSpec, PriceResult, d_plus_minus, degenerate_result,
                       discount_factor, require_count)
 
 
-# most lattice steps: 10**9 weigh about 300K nodes (3.5 MiB, 0.2 s); time and
-# memory grow as sqrt(steps) past that, and the step probability p cancels
-# enough that 10**10 steps already move the price by 2e-5
+# most lattice steps: 10**9 weigh about 300K nodes (3.5 MiB, 0.3 s); time and
+# memory grow as sqrt(steps) past that
 MAX_STEPS = 10 ** 9
 
 
@@ -38,8 +38,22 @@ class TreeConfig:
             raise ValueError(f"steps must be at most 10**9, got {self.steps}")
 
 
+# largest vol*sqrt(expiry/steps) the lattice takes: in a 30,000-contract scan at
+# steps 1-64 no price left its no-arbitrage bounds by 1e-12 of spot below 9, some
+# did by 1e-3 past 9 and by the whole spot past 14, and u overflows from 709
+MAX_STEP_VOL = 8.0
+
+
 class TreeParameterizationError(ValueError):
     """The risk-neutral step probability left (0, 1); use more steps."""
+
+
+def _more_steps(spec: OptionSpec, n: int, ratio: float, strict: bool) -> str:
+    """Names the inputs and the fewest steps m >= ratio^2 * expiry (m > it if strict)."""
+    bound = ratio * ratio * spec.expiry
+    fewest = (f"increase steps to at least {math.floor(bound) + 1 if strict else math.ceil(bound)}"
+              if bound < MAX_STEPS else "no step count up to 10**9 fits")
+    return f"at vol={spec.volatility}, expiry={spec.expiry}, steps={n}; {fewest}"
 
 
 # past the smallest normal float the upward walk carries a weight times
@@ -120,31 +134,31 @@ def crr_tree_price(spec: OptionSpec, cfg: TreeConfig) -> PriceResult:
     """Price a European call on a recombining binomial tree.
 
     Returns the discounted expected terminal payoff
-    e^{-rt} * sum_k C(n,k) p^k (1-p)^{n-k} max(spot*u^k*d^{n-k} - strike, 0),
-    with each node spot*exp((2k-n)*vol*sqrt(t/n)) computed directly (its
-    term in logs if it passes the largest double). One outward walk from the
-    mode gathers the weights and the in-the-money terms until both fall past
-    `_CUT`, and `math.fsum` rounds each sum correctly. With zero volatility or zero expiry the lattice is a single
+    e^{-rt} * sum_k C(n,k) p^k (1-p)^{n-k} max(spot*u^k*d^{n-k} - strike, 0), with each
+    node spot*exp((2k-n)*vol*sqrt(t/n)) computed directly (its term in logs if it passes
+    the largest double). One outward walk from the mode gathers the weights and the
+    in-the-money terms until both fall past `_CUT`, and `math.fsum` rounds each sum
+    correctly. When vol*sqrt(t/n) is zero (or underflows to it) the lattice is a single
     deterministic path, and the deterministic-limit price is returned.
     """
     n = cfg.steps
-    if spec.vol_sqrt_t == 0.0:
-        return degenerate_result(spec, "tree", detail={"steps": n, "degenerate": True})
-
     dt = spec.expiry / n
     step_vol = spec.volatility * math.sqrt(dt)
-    u = math.exp(step_vol)
-    d = 1.0 / u
-    growth = math.exp(spec.rate * dt)
-    if u == d:
-        raise ValueError(f"expiry/steps = {dt:.6g} is too small for the lattice: the up and down "
-                         f"factors exp(+-vol*sqrt(expiry/steps)) both round to 1")
-    p = (growth - d) / (u - d)
+    if not step_vol:
+        return degenerate_result(spec, "tree", detail={"steps": n, "degenerate": True})
+    if step_vol > MAX_STEP_VOL:
+        raise ValueError(f"the lattice is too coarse: vol*sqrt(expiry/steps) = {step_vol:.6g} "
+                         f"passes {MAX_STEP_VOL} "
+                         + _more_steps(spec, n, spec.volatility / MAX_STEP_VOL, False))
+    rate_dt = spec.rate * dt
+    # |r*t/n| < x keeps exp(r*t/n) between d and u, and expm1 finite
+    p = ((math.expm1(rate_dt) - math.expm1(-step_vol)) / (2.0 * math.sinh(step_vol))
+         if abs(rate_dt) < step_vol else math.nan)
     if not 0.0 < p < 1.0:
         raise TreeParameterizationError(
-            f"risk-neutral step probability {p:.6g} is outside (0, 1) for "
-            f"steps={n}; increase steps until exp(r*t/n) lies between the "
-            f"down and up factors")
+            f"the risk-neutral step probability leaves (0, 1): rate*expiry/steps = {rate_dt:.6g} "
+            f"is not within +-vol*sqrt(expiry/steps) = +-{step_vol:.6g} "
+            + _more_steps(spec, n, spec.rate / spec.volatility, True))
 
     disc = discount_factor(spec)
     spot, strike, exp = spec.spot, spec.strike, math.exp
@@ -201,6 +215,7 @@ def crr_tree_price(spec: OptionSpec, cfg: TreeConfig) -> PriceResult:
                          f"use fewer steps")
 
     dp, dm = d_plus_minus(spec)
-    detail = {"steps": n, "terminal_nodes": n + 1, "up_factor": u, "down_factor": d,
+    u = math.exp(step_vol)
+    detail = {"steps": n, "terminal_nodes": n + 1, "up_factor": u, "down_factor": 1.0 / u,
               "prob_up": p}
     return PriceResult(price=price, d_plus=dp, d_minus=dm, method="tree", detail=detail)

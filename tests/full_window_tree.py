@@ -68,9 +68,11 @@ def full_window_price(spec: OptionSpec, n: int) -> float:
     them); spec must have positive vol*sqrt(t)."""
     dt = spec.expiry / n
     step_vol = spec.volatility * math.sqrt(dt)
-    u = math.exp(step_vol)
-    d = 1.0 / u
-    p = (math.exp(spec.rate * dt) - d) / (u - d)
+    rate_dt = spec.rate * dt
+    # the step probability of bslab.tree, formed the same way: this is the
+    # reference for the cut walk; test_tree.exact_lattice_price checks p
+    p = ((math.expm1(rate_dt) - math.expm1(-step_vol)) / (2.0 * math.sinh(step_vol))
+         if abs(rate_dt) < step_vol else math.nan)
     if not 0.0 < p < 1.0:
         raise TreeParameterizationError(f"risk-neutral step probability {p!r} is outside (0, 1)")
 

@@ -411,13 +411,14 @@ class TestCommandTable:
         assert "Warning" not in err and "Traceback" not in err
 
     @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
-    @pytest.mark.parametrize("paths", ["1000", "1000000"], ids=["one_piece", "pooled"])
+    @pytest.mark.parametrize("paths", ["10000", "1000000"], ids=["one_piece", "pooled"])
     def test_overflowing_mc_payoff_exits_two_with_one_line(self, paths, fmt, capsys):
-        # spot * e^y passes the largest double; warnings are errors here, so
-        # none may escape from either thread
-        assert main(["mc", "--spot", "1e308", "--strike", "1e-308", "--rate", "0.04",
-                     "--expiry", "1", "--vol", "0.15", "--paths", paths, "--seed", "42",
-                     "--format", fmt]) == 2
+        # at the largest spot the estimate spot * mean(g) passes the largest
+        # double once the sample mean of g exceeds 1 (1.098 and 1.021 here);
+        # warnings are errors here, so none may escape from either thread
+        assert main(["mc", "--spot", "1.7976931348623157e308", "--strike", "1e-308",
+                     "--rate", "0.04", "--expiry", "1", "--vol", "2.5", "--paths", paths,
+                     "--seed", "42", "--format", fmt]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
         assert err.startswith("bslab mc: the Monte Carlo estimate")
@@ -443,9 +444,13 @@ class TestCommandTable:
         (["mc", "--spot", "50", "--strike", "52", "--rate", "-1000", "--expiry", "1",
           "--vol", "0.15", "--paths", "100", "--seed", "1"],
          "discounted strike strike*exp(-rate*expiry) overflows"),
-        (["tree", "--spot", "50", "--strike", "52", "--rate", "0.04", "--expiry", "1e-300",
-          "--vol", "0.15", "--steps", "100"], "expiry/steps = 1e-302 is too small"),
-    ], ids=["price_rate_overflow", "mc_rate_overflow", "tree_expiry_underflow"])
+        (["tree", "--spot", "50", "--strike", "52", "--rate", "0.04", "--expiry", "1",
+          "--vol", "1000", "--steps", "1"],
+         "vol*sqrt(expiry/steps) = 1000 passes 8.0 at vol=1000.0, expiry=1.0, steps=1; "
+         "increase steps to at least 15625"),
+        (["tree", "--spot", "50", "--strike", "52", "--rate", "100000", "--expiry", "1",
+          "--vol", "0.15", "--steps", "1"], "no step count up to 10**9 fits"),
+    ], ids=["price_rate_overflow", "mc_rate_overflow", "tree_too_coarse", "tree_rate_too_large"])
     def test_out_of_range_input_exits_two_naming_it(self, argv, named, capsys):
         # these reached the ArithmeticError backstop, whose line names no input
         assert main(argv) == 2
@@ -453,6 +458,26 @@ class TestCommandTable:
         assert out == "" and err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith(f"bslab {argv[0]}: ") and named in err
         assert "numerical failure" not in err
+
+    @pytest.mark.parametrize("strike, price", [("52", 0.0), ("48", 2.0)])
+    def test_lattice_with_steps_shorter_than_an_ulp_prices_the_limit(self, strike, price,
+                                                                     capsys):
+        # exp(+-vol*sqrt(expiry/steps)) both round to 1, which left the step
+        # probability (exp(r*t/n) - d)/(u - d) at 0/0 and exited 2
+        assert main(["tree", "--spot", "50", "--strike", strike, "--rate", "0.04",
+                     "--expiry", "1e-300", "--vol", "0.15", "--steps", "10000",
+                     "--format", "json"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and json.loads(out)["results"]["price"] == price
+
+    def test_mc_payoff_past_the_double_range_prices_the_spot(self, capsys):
+        # in forward units no payoff overflows: spot * e^y did, and this exited 2
+        assert main(["mc", "--spot", "1e308", "--strike", "1e-308", "--rate", "0.04",
+                     "--expiry", "1", "--vol", "0.15", "--paths", "100000", "--seed", "1",
+                     "--format", "json"]) == 0
+        out, err = capsys.readouterr()
+        results = json.loads(out)["results"]
+        assert err == "" and abs(results["price"] - 1e308) <= 4.0 * results["std_error"]
 
     def test_overflowing_lattice_node_exits_two_with_one_line(self, capsys):
         # spot 1e308: the weighted nodes near the mode are finite, their sum is not
@@ -541,7 +566,7 @@ class TestLazyImports:
         argv = ["tree", *PRICE_ARGS[1:], "--steps", "10000"]
         proc = run_python(f"import bslab.cli\nassert bslab.cli.main({argv!r}) == 0\n"
                           + NO_NUMPY_OR_SCIPY)
-        assert "price = 3.00757043188" in proc.stdout
+        assert "price = 3.0075704319\n" in proc.stdout
 
     def test_import_starts_no_thread(self):
         run_python("import threading\nimport bslab.cltlab, bslab.montecarlo\n"

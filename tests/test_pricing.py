@@ -1,5 +1,8 @@
+import contextlib
 import copy
 import dataclasses
+import functools
+import io
 import math
 import pickle
 import random
@@ -11,10 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bslab.cli import main
 from bslab.normal import norm_cdf, norm_pdf
 from bslab.pricing import (NormalParams, OptionSpec, PriceResult, bs_call_price, d_plus_minus,
                            intrinsic_forward_value, lognormal_call_expectation,
                            lognormal_h_plus_minus, risk_neutral_params)
+from bslab.tree import TreeConfig, crr_tree_price
 from quadrature import QuadratureSettings, integrate
 
 EXAMPLE = OptionSpec(spot=50.0, strike=52.0, rate=0.04, expiry=1.0, volatility=0.15)
@@ -203,23 +208,42 @@ class TestCallPrice:
             compared += 1
         assert compared > 15_000
 
+    @pytest.mark.parametrize("pricer", ["bs_call_price", "crr_tree_price"])
     @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
     @given(log_spot=st.floats(-300.0, 300.0), log_strike=st.floats(-300.0, 300.0),
-           rate=st.floats(-50.0, 50.0), expiry=st.floats(0.0, 1e3), vol=st.floats(0.0, 1e3))
+           rate=st.floats(-50.0, 50.0), expiry=st.floats(0.0, 1e3), vol=st.floats(0.0, 1e3),
+           steps=st.integers(1, 64))
     def test_every_contract_prices_inside_the_bounds_or_names_an_input(
-            self, log_spot, log_strike, rate, expiry, vol):
+            self, pricer, log_spot, log_strike, rate, expiry, vol, steps):
         spot, strike = 10.0 ** log_spot, 10.0 ** log_strike
+        # --rate=-1e-05, since argparse takes a lone -1e-05 for an option
+        argv = [f"--spot={spot!r}", f"--strike={strike!r}", f"--rate={rate!r}",
+                f"--expiry={expiry!r}", f"--vol={vol!r}", "--format", "json"]
+        if pricer == "bs_call_price":
+            argv, price_of, slack = ["price", *argv], bs_call_price, 1e-12
+        else:
+            # a lattice as coarse as vol*sqrt(t/n) = 8 at moneyness e^{+-100}
+            # rounds outside the bounds by up to 2e-12 relative
+            argv, slack = ["tree", *argv, "--steps", str(steps)], 1e-9
+            price_of = functools.partial(crr_tree_price, cfg=TreeConfig(steps))
         spec = OptionSpec(spot, strike, rate, expiry, vol)
         try:
-            price = bs_call_price(spec).price
+            price = price_of(spec).price
         except ValueError as exc:
-            assert any(name in str(exc) for name in ("strike", "rate", "expiry", "volatility"))
-            return
-        try:
-            lower = max(spot - strike * math.exp(-rate * expiry), 0.0)
-        except OverflowError:
-            lower = 0.0
-        assert lower - 1e-12 * spot <= price <= spot * (1.0 + 1e-12), spec
+            assert any(name in str(exc) for name in ("strike", "rate", "expiry", "vol", "steps"))
+        else:
+            try:
+                lower = max(spot - strike * math.exp(-rate * expiry), 0.0)
+            except OverflowError:
+                lower = 0.0
+            assert lower - slack * spot <= price <= spot * (1.0 + slack), spec
+        # through the CLI: an exit code, and a one-line message on failure
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        message = err.getvalue()
+        assert code in (0, 1, 2) and message.count("\n") == (code != 0), (argv, message)
+        assert "Traceback" not in message and "numerical failure" not in message, argv
 
     def test_monotone_in_strike_and_volatility(self):
         rng = np.random.default_rng(5)

@@ -25,12 +25,17 @@ LADDER = ["--samples", "5000", "--seed", "2024", "--n-ladder", "16,256,4096", "-
 GOLDEN = {
     "price": (["price", *OPTION, "--vol", "0.15"],
               "efc7f49c364a5c24995fd4ddcf3c28d38cc78374466fcd1a44ed7bba9cd5d9ff"),
-    # price 3.0075704318807173 from the mode-centred weights and exact sums of
-    # bslab.tree (40-digit lattice sum 3.0075704318807124)
+    # price 3.0075704318988503 from the mode-centred weights and exact sums of
+    # bslab.tree (40-digit lattice sum, with p at 40 digits too,
+    # 3.0075704318989252). The step probability (exp(r*t/n) - d)/(u - d)
+    # cancelled: prob_up was 0.5009583355702923, now 0.5009583355703151 from
+    # expm1/sinh, and the price was 3.0075704318807173
     "tree": (["tree", *OPTION, "--vol", "0.15", "--steps", "10000"],
-             "87df592c4b94264129257d07c3dd2b3a6e5112e1f9101cee297b935b542ef19d"),
+             "54e3f74597866934127568c90a364e015016cdbe2de73116909bac1888c3e2c5"),
+    # paths in forward units, scaled by spot once: the last digits of price
+    # moved (3.0122636161528513 -> 3.0122636161528518)
     "mc": (["mc", *OPTION, "--vol", "0.15", "--paths", "1000000", "--seed", "42"],
-           "d0ab93dfed49437821a01335abf1e4750e48846dac8a309a187e3c481e73208b"),
+           "3b76d45440e6db5dd1e1882645d9a98585911da1b83e4073208d99893a3c8414"),
     "clt_demo_two_point": (
         ["clt-demo", "--model", "two_point", "--variance", "0.0225", *LADDER],
         "a92ffa26ccc44981b6da1e9e7ac6e3fdbc7ed5b1ebec70d4ca79165827e16241"),
@@ -53,9 +58,11 @@ GOLDEN = {
     "mc_zero_volatility": (
         ["mc", *OPTION, "--vol", "0", "--paths", "1000000", "--seed", "42"],
         "1d4a92275811f97dc23af2b5fcf1de9aef4c4552b4bd021e3652e0d41504407b"),
+    # forward units: price 2.991917606835091 -> 2.991917606835092, std_error
+    # 0.010782923294793982 -> 0.010782923294793986
     "mc_196625_paths": (
         ["mc", *OPTION, "--vol", "0.15", "--paths", "196625", "--seed", "42"],
-        "a922b939140589e59b46255142dd9909400be47b50a6ffcea602463c9373e031"),
+        "ba382d07f94436c4065157a04042b2e36699a01254f86a2aeae6c2ce1d6d99b9"),
     # the lindeberg column is the closed-form tail, no longer the Monte Carlo
     # estimate (0.022327463458216273 -> 0.022417887961715257 at n = 16), and
     # the lindeberg_source diagnostic is gone
@@ -88,8 +95,9 @@ ARGV = {**{name: argv for name, (argv, _) in GOLDEN.items()}, **MORE}
 DIGESTS = {
     ("price", "csv"): "6a5294998d1616c46491f325deb1f37ac7394f5fd8ade27e0b15de0e53582710",
     ("price", "text"): "e2b6e96494220fabec60342fed539470e8908d85a0d96b63487e3c8e7b8e06bf",
-    ("tree", "csv"): "0463c5f203067d3a9813226fbc42ac5a8ec93f3d233d97d0a69c2d7d3d9529de",
-    ("tree", "text"): "333b68aba3122654395af73273ac385e9c63ef5447211ad1233a03f71c831904",
+    # the lattice price with the expm1/sinh step probability (see GOLDEN)
+    ("tree", "csv"): "5a4e7386c84e4d2e7de4bf3cfef9ef395757ae638119b474271f1c457f8c8b20",
+    ("tree", "text"): "64a84730be7cc734c0b05b14ed4d17a360484fa28442ab5e050d6ac24cd756f5",
     ("mc", "csv"): "abe8c92ea2f2b22dcc425f656f891123e89267097fa0cf96f409033f3fd3ea94",
     ("mc", "text"): "4bb778af8a96df3998583033212551327a516dafca9e44d67c6d1eeace0a7fc6",
     ("clt_demo_two_point", "csv"):

@@ -7,7 +7,8 @@ import mpmath
 import pytest
 
 from bslab.pricing import OptionSpec, bs_call_price, intrinsic_forward_value
-from bslab.tree import TreeConfig, TreeParameterizationError, binomial_weights, crr_tree_price
+from bslab.tree import (MAX_STEP_VOL, TreeConfig, TreeParameterizationError, binomial_weights,
+                        crr_tree_price)
 from full_window_tree import full_window_price
 
 EXAMPLE = OptionSpec(spot=50.0, strike=52.0, rate=0.04, expiry=1.0, volatility=0.15)
@@ -67,11 +68,29 @@ def test_ten_thousand_steps_close_to_closed_form():
 
 def test_probability_out_of_range_suggests_more_steps():
     crazy_rate = OptionSpec(spot=50.0, strike=52.0, rate=5.0, expiry=1.0, volatility=0.15)
-    with pytest.raises(TreeParameterizationError, match="increase steps"):
-        crr_tree_price(crazy_rate, TreeConfig(steps=1))
-    # with enough steps the drift per step shrinks below the vol per step
-    result = crr_tree_price(crazy_rate, TreeConfig(steps=2000))
-    assert result.price > 0.0
+    # the drift per step 5/n is under the vol per step 0.15/sqrt(n) from
+    # n = floor(5^2/0.15^2) + 1 = 1112
+    for n in (1, 1111):
+        with pytest.raises(TreeParameterizationError, match="increase steps to at least 1112$"):
+            crr_tree_price(crazy_rate, TreeConfig(steps=n))
+    assert 0.0 < crr_tree_price(crazy_rate, TreeConfig(steps=1112)).price < crazy_rate.spot
+
+
+def test_too_coarse_lattice_names_the_fewest_steps():
+    spec = OptionSpec(spot=50.0, strike=52.0, rate=0.04, expiry=4.0, volatility=20.0)
+    # vol*sqrt(expiry/steps) stays at most MAX_STEP_VOL from 20^2*4/8^2 = 25 steps
+    with pytest.raises(ValueError, match=r"steps=24; increase steps to at least 25$"):
+        crr_tree_price(spec, TreeConfig(24))
+    assert crr_tree_price(spec, TreeConfig(25)).price > 0.0
+    with pytest.raises(ValueError, match="no step count up to 10\\*\\*9 fits"):
+        crr_tree_price(OptionSpec(50.0, 52.0, 0.04, 1e4, 1e4), TreeConfig(10 ** 9))
+
+
+def test_underflowing_step_vol_takes_the_deterministic_limit():
+    # vol*sqrt(expiry) is 1e-320, a subnormal; over 10^8 steps it rounds to 0
+    spec = OptionSpec(spot=60.0, strike=52.0, rate=0.04, expiry=1.0, volatility=1e-320)
+    result = crr_tree_price(spec, TreeConfig(steps=10 ** 8))
+    assert result.price == intrinsic_forward_value(spec) and result.detail["degenerate"] is True
 
 
 def test_zero_volatility_delegates_to_deterministic_limit():
@@ -102,17 +121,18 @@ def test_numpy_integer_steps_are_accepted():
 
 def exact_lattice_price(spec, n):
     """40-digit sum over all n+1 nodes of the lattice that crr_tree_price
-    builds from the same float step_vol and p. Weights and nodes advance by
-    their one-step ratios, which keeps the sum O(n) at 40 digits."""
+    builds on the same float step_vol x, with the step probability
+    p = (e^{r*t/n} - e^{-x}) / (e^x - e^{-x}) taken at 40 digits too. Weights
+    and nodes advance by their one-step ratios, which keeps the sum O(n) at
+    40 digits."""
     with mpmath.workdps(40):
-        step_vol = spec.volatility * math.sqrt(spec.expiry / n)
-        u = math.exp(step_vol)
-        d = 1.0 / u
-        p = mpmath.mpf((math.exp(spec.rate * spec.expiry / n) - d) / (u - d))
+        step_vol = mpmath.mpf(spec.volatility * math.sqrt(spec.expiry / n))
+        growth = mpmath.exp(mpmath.mpf(spec.rate) * spec.expiry / n)
+        p = (growth - mpmath.exp(-step_vol)) / (2 * mpmath.sinh(step_vol))
         odds = p / (1 - p)
-        up_twice = mpmath.exp(2 * mpmath.mpf(step_vol))
+        up_twice = mpmath.exp(2 * step_vol)
         weight = (1 - p) ** n
-        node = spec.spot * mpmath.exp(-n * mpmath.mpf(step_vol))
+        node = spec.spot * mpmath.exp(-n * step_vol)
         strike = mpmath.mpf(spec.strike)
         total = payoff = mpmath.mpf(0)
         for k in range(n + 1):
@@ -251,6 +271,10 @@ def test_cut_walk_matches_the_full_window_over_a_sweep():
                           rate=rnd.uniform(0.0, 0.1), expiry=expiry,
                           volatility=10 ** rnd.uniform(-2.0, math.log10(30.0)) / math.sqrt(expiry))
         n = int(10 ** rnd.uniform(0.0, 5.0))
+        if spec.volatility * math.sqrt(spec.expiry / n) > MAX_STEP_VOL:  # too coarse to price
+            with pytest.raises(ValueError, match="increase steps"):
+                crr_tree_price(spec, TreeConfig(n))
+            continue
         try:
             reference = full_window_price(spec, n)
         except TreeParameterizationError:  # exp(r*t/n) above u: both refuse
