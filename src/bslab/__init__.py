@@ -20,8 +20,7 @@ _EXPORTS = {
     "montecarlo": ("McConfig", "mc_forward_check", "mc_price"),
     "normal": ("norm_cdf", "norm_cdf_inv", "norm_pdf"),
     "pricing": ("NormalParams", "OptionSpec", "PriceResult", "bs_call_price", "d_plus_minus",
-                "intrinsic_forward_value", "lognormal_call_expectation", "lognormal_h_plus_minus",
-                "risk_neutral_params"),
+                "intrinsic_forward_value", "lognormal_call_expectation", "lognormal_h_plus_minus"),
     "rng": ("normal_stream", "poisson_stream", "substream", "uniform_stream"),
     "tree": ("TreeConfig", "TreeParameterizationError", "crr_tree_price"),
 }

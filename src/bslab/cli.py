@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 usage error, 2 numerical/convergence error.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from collections import namedtuple
 from dataclasses import dataclass
@@ -247,6 +248,10 @@ COMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)  # argparse takes -1 for a value but -1e-05 for a flag
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         raise UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 

@@ -202,13 +202,6 @@ def bs_call_price(spec: OptionSpec) -> PriceResult:
     return degenerate_result(spec, "closed_form")
 
 
-def risk_neutral_params(spec: OptionSpec) -> NormalParams:
-    """The unique normal log-return law with variance vol^2*t and
-    E[e^Y] = e^{rate*t}: mean (rate - vol^2/2)*t, std vol*sqrt(t)."""
-    return NormalParams(mean=(spec.rate - 0.5 * spec.volatility ** 2) * spec.expiry,
-                        std_dev=spec.vol_sqrt_t)
-
-
 def lognormal_h_plus_minus(params: NormalParams, threshold: float) -> tuple[float, float]:
     """h+- = [log(E[e^Y]/M) +- std^2/2]/std for threshold M, in the
     algebraically reduced form (mean + std^2 - log M)/std, (mean - log M)/std."""

@@ -17,12 +17,11 @@ from bslab.cltlab import ArraySpec, run_convergence_experiment, variance_lineari
 from bslab.increments import IncrementModel
 from bslab.montecarlo import McConfig, mc_forward_check, mc_price
 from bslab.pricing import (OptionSpec, bs_call_price, d_plus_minus,
-                           lognormal_call_expectation, lognormal_h_plus_minus,
-                           risk_neutral_params, NormalParams)
+                           lognormal_call_expectation, lognormal_h_plus_minus, NormalParams)
 from quadrature import QuadratureSettings, integrate
 from bslab.rng import substream
 from bslab.tree import TreeConfig, crr_tree_price
-from test_pricing import quadrature_call_expectation, random_specs
+from test_pricing import quadrature_call_expectation, random_specs, risk_neutral_params
 
 EXAMPLE = OptionSpec(spot=50.0, strike=52.0, rate=0.04, expiry=1.0, volatility=0.15)
 

@@ -82,6 +82,15 @@ class TestParseArgs:
                         "--intensity", "2", "--variance", "3", "--samples", "200",
                         "--seed", "1"])
 
+    def test_negative_exponents_are_read_as_values(self, capsys):
+        for rate in ("-1e-05", "-1E+2", "-.5e1"):
+            outputs = []
+            for flag in (["--rate", rate], [f"--rate={rate}"]):
+                assert main([*PRICE_ARGS[:5], *flag, *PRICE_ARGS[7:], "--format", "json"]) == 0
+                outputs.append(capsys.readouterr().out)
+            assert outputs[0] == outputs[1]
+            assert json.loads(outputs[0])["inputs"]["rate"] == float(rate)
+
     def test_main_maps_usage_errors_to_exit_one(self, capsys):
         assert main([]) == 1
         assert main(["price", "--spot", "oops"]) == 1

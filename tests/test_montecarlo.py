@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from bslab.montecarlo import McConfig, mc_forward_check, mc_price
-from bslab.pricing import (OptionSpec, bs_call_price, intrinsic_forward_value,
-                           risk_neutral_params)
+from bslab.pricing import OptionSpec, bs_call_price, intrinsic_forward_value
 from bslab.rng import BLOCK, normal_stream
 from test_cltlab import pooled_and_serial
+from test_pricing import risk_neutral_params
 
 EXAMPLE = OptionSpec(spot=50.0, strike=52.0, rate=0.04, expiry=1.0, volatility=0.15)
 

@@ -18,7 +18,7 @@ from bslab.cli import main
 from bslab.normal import norm_cdf, norm_pdf
 from bslab.pricing import (NormalParams, OptionSpec, PriceResult, bs_call_price, d_plus_minus,
                            intrinsic_forward_value, lognormal_call_expectation,
-                           lognormal_h_plus_minus, risk_neutral_params)
+                           lognormal_h_plus_minus)
 from bslab.tree import TreeConfig, crr_tree_price
 from quadrature import QuadratureSettings, integrate
 
@@ -37,6 +37,13 @@ SECOND_D_MINUS = 0.4377486688408570
 # frozen quadrature values of E[max(e^Y - M, 0)]
 PAYOFF_EXPECTATION_0_1_1 = 0.8871429788350048
 PAYOFF_EXPECTATION_002_015_104 = 0.057888841437092745
+
+
+def risk_neutral_params(spec: OptionSpec) -> NormalParams:
+    """The unique normal log-return law with variance vol^2*t and
+    E[e^Y] = e^{rate*t}: mean (rate - vol^2/2)*t, std vol*sqrt(t)."""
+    return NormalParams(mean=(spec.rate - 0.5 * spec.volatility ** 2) * spec.expiry,
+                        std_dev=spec.vol_sqrt_t)
 
 
 def quadrature_call_expectation(mean: float, std_dev: float, threshold: float) -> float:
@@ -216,8 +223,7 @@ class TestCallPrice:
     def test_every_contract_prices_inside_the_bounds_or_names_an_input(
             self, pricer, log_spot, log_strike, rate, expiry, vol, steps):
         spot, strike = 10.0 ** log_spot, 10.0 ** log_strike
-        # --rate=-1e-05, since argparse takes a lone -1e-05 for an option
-        argv = [f"--spot={spot!r}", f"--strike={strike!r}", f"--rate={rate!r}",
+        argv = [f"--spot={spot!r}", f"--strike={strike!r}", "--rate", repr(rate),
                 f"--expiry={expiry!r}", f"--vol={vol!r}", "--format", "json"]
         if pricer == "bs_call_price":
             argv, price_of, slack = ["price", *argv], bs_call_price, 1e-12

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import sys
@@ -284,3 +285,70 @@ def test_cut_walk_matches_the_full_window_over_a_sweep():
         price = crr_tree_price(spec, TreeConfig(n)).price
         assert abs(price - reference) <= 2 * math.ulp(reference), (spec, n)
         compared += 1
+
+
+def lattice_sweep():
+    """(spec, steps) for 2,000 seeded contracts over the lattice's regimes."""
+    rnd = random.Random(20211)
+
+    def spec(log_spot, log_moneyness, rate, expiry, vol_sqrt_t):
+        spot = math.exp(log_spot)
+        return OptionSpec(spot=spot, strike=spot * math.exp(log_moneyness), rate=rate,
+                          expiry=expiry, volatility=vol_sqrt_t / math.sqrt(expiry))
+
+    def fitting_steps(s, top):  # log-uniform in 1..10^top, but no coarser than MAX_STEP_VOL
+        fewest = math.ceil(s.volatility ** 2 * s.expiry / MAX_STEP_VOL ** 2)
+        return max(int(10 ** rnd.uniform(0.0, top)), fewest)
+
+    for i in range(600):  # bench-like, steps 1-10^6
+        expiry = rnd.uniform(0.5, 2.0)
+        s = spec(math.log(rnd.uniform(40.0, 60.0)), rnd.uniform(-0.2, 0.2), rnd.uniform(0.0, 0.06),
+                 expiry, rnd.uniform(0.1, 0.4) * math.sqrt(expiry))
+        yield s, 10 ** 6 if i % 100 == 0 else int(10 ** rnd.uniform(0.0, 6.0))
+    for _ in range(700):  # spot across e^+-40, strike e^+-40 from it, vol*sqrt(t) 0.01-100
+        s = spec(rnd.uniform(-40.0, 40.0), rnd.uniform(-40.0, 40.0), rnd.uniform(-0.05, 0.1),
+                 10 ** rnd.uniform(-1.0, 1.0), 10 ** rnd.uniform(-2.0, 2.0))
+        yield s, fitting_steps(s, 5.5)
+    for _ in range(200):  # terms that peak, or begin, where the weights are below the float floor
+        if rnd.random() < 0.5:
+            s = spec(math.log(1e-250), rnd.uniform(-5.0, 5.0), rnd.uniform(0.0, 0.1), 1.0,
+                     rnd.uniform(30.0, 45.0))
+        else:
+            vst = 10 ** rnd.uniform(-2.0, 0.0)
+            s = spec(rnd.uniform(-5.0, 5.0), vst * rnd.uniform(30.0, 45.0), rnd.uniform(0.0, 0.05),
+                     1.0, vst)
+        yield s, fitting_steps(s, 5.0)
+    for _ in range(200):  # nodes past the largest double, their terms in logs
+        s = spec(rnd.uniform(600.0, 700.0), rnd.uniform(-3.0, 3.0), rnd.uniform(0.0, 0.1), 1.0,
+                 rnd.uniform(3.0, 40.0))
+        yield s, fitting_steps(s, 4.0)
+    for _ in range(200):  # drift within 1e-12..1e-1 of a step: the mode at 0 or at n
+        n = int(10 ** rnd.uniform(0.0, 2.0))
+        step_vol = 10 ** rnd.uniform(-3.0, 0.5)
+        drift = rnd.choice((-1.0, 1.0)) * step_vol * (1.0 - 10 ** rnd.uniform(-12.0, -1.0))
+        log_spot = rnd.choice((math.log(50.0), rnd.uniform(-700.0, 700.0),
+                               rnd.uniform(680.0, 705.0)))
+        yield spec(log_spot, rnd.uniform(-1.0, 1.0), drift * n, 1.0, step_vol * math.sqrt(n)), n
+    for _ in range(100):  # the mode at n, and nodes below it past the largest double
+        n = rnd.randint(2, 12)
+        step_vol = rnd.uniform(0.01, 0.5)
+        drift = step_vol * (1.0 - 10 ** rnd.uniform(-12.0, -1.0))
+        log_spot = math.log(sys.float_info.max * rnd.uniform(0.3, 1.0))
+        yield spec(log_spot, math.log(rnd.uniform(0.5, 1.0)), drift * n, 1.0,
+                   step_vol * math.sqrt(n)), n
+
+
+def test_lattice_prices_keep_their_bits_over_a_seeded_sweep():
+    # 2,000 contracts: bench-like ones at steps 1-10^6, lifted weights, nodes
+    # past the largest double (above the mode and below it), the mode at 0 and
+    # at n, and inputs the lattice refuses or whose sums overflow. The digest is frozen: a price moves
+    # it when the walk weighs another set of nodes or a term changes its bits
+    outcomes = []
+    for spec, n in lattice_sweep():
+        try:
+            outcomes.append(repr(crr_tree_price(spec, TreeConfig(n)).price))
+        except ValueError as exc:
+            outcomes.append(type(exc).__name__)
+    assert len(outcomes) == 2000
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == "d13c947f2451973865f27a3c6d6fc2d595ec224a24f4a33c477a1a8f146e7468"
