@@ -41,13 +41,12 @@ class UsageError(Exception):
 
 @dataclass
 class RunConfig:
-    """A validated run: the command, its flag values and the domain objects
-    built from them."""
+    """A validated run: the command, its output and the domain objects built
+    from its flags."""
 
     command: str
-    flags: dict
-    output_format: str = "text"
-    output_path: str | None = None
+    output_format: str
+    output_path: str | None
     option_spec: pricing.OptionSpec | None = None
     tree_config: TreeConfig | None = None
     mc_config: McConfig | None = None
@@ -58,16 +57,6 @@ class RunConfig:
     n_ladder: tuple[int, ...] | None = None
     epsilon: float | None = None
     horizons: tuple[float, ...] | None = None
-
-    def to_argv(self) -> list[str]:
-        """Flags that parse back into an equal RunConfig (repr keeps every
-        float exact)."""
-        argv = [self.command]
-        for dest, value in self.flags.items():
-            if value is not None:
-                text = repr(value) if isinstance(value, float) else str(value)
-                argv += ["--" + dest.replace("_", "-"), text]
-        return argv
 
 
 # flag groups: (flag, argparse keyword arguments) pairs
@@ -181,7 +170,7 @@ def _tree_report(cfg: RunConfig) -> dict:
     from . import tree
     result = tree.crr_tree_price(cfg.option_spec, cfg.tree_config)
     report = _price_report(cfg.option_spec, result, steps=cfg.tree_config.steps)
-    report["diagnostics"].update((k, v) for k, v in result.detail.items() if k != "steps")
+    report["diagnostics"].update(result.detail)
     return report
 
 
@@ -249,8 +238,9 @@ COMMANDS = {
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)  # argparse takes -1 for a value but -1e-05 for a flag
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        super().__init__(*args, **kwargs)  # argparse reads -1 as a value, -1e-05 and -inf as flags
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
 
     def error(self, message):
         raise UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
@@ -309,8 +299,7 @@ def parse_args(argv: list[str]) -> RunConfig:
         built = COMMANDS[args.command].build(args)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
-    return RunConfig(args.command, flags, args.format, args.output, **built)
+    return RunConfig(args.command, args.format, args.output, **built)
 
 
 def execute(cfg: RunConfig, out=None) -> int:

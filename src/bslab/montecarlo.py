@@ -51,8 +51,7 @@ def mc_price(spec: OptionSpec, cfg: McConfig) -> PriceResult:
     volatility is a point mass: its exact value, with std_error 0.
     """
     if spec.vol_sqrt_t == 0.0:
-        return degenerate_result(spec, "monte_carlo", std_error=0.0,
-                                 detail={"paths": cfg.paths, "seed": cfg.seed, "degenerate": True})
+        return degenerate_result(spec, "monte_carlo", std_error=0.0, detail={"degenerate": True})
 
     kappa = spec.strike * discount_factor(spec) / spec.spot
 
@@ -68,7 +67,7 @@ def mc_price(spec: OptionSpec, cfg: McConfig) -> PriceResult:
         raise ValueError(f"the Monte Carlo estimate {estimate} +- {std_error} is not finite")
     dp, dm = d_plus_minus(spec)
     return PriceResult(price=estimate, d_plus=dp, d_minus=dm, method="monte_carlo",
-                       std_error=std_error, detail={"paths": cfg.paths, "seed": cfg.seed})
+                       std_error=std_error)
 
 
 def mc_forward_check(spec: OptionSpec, cfg: McConfig) -> float:

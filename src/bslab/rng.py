@@ -249,6 +249,8 @@ def poisson_stream(seed: int, start: int, count: int, mean: float) -> np.ndarray
         raise ValueError(f"poisson mean must be in (0, 700), got {mean}")
     u = uniform_stream(seed, start, count)
     _, cdf = poisson_law(mean)
+    # rounding can stop the cdf rising short of 1: ending it at 1.0 there ends every uniform
+    cdf = cdf[:cdf.index(cdf[-1])] + [1.0]
     # count a BLOCK at a time in this thread's scratch, then write the counts
     # over their uniforms: u is the only fresh array. The counts stay below
     # len(cdf) < 2000, so 16 bits hold them exactly
@@ -266,8 +268,6 @@ def poisson_stream(seed: int, start: int, count: int, mean: float) -> np.ndarray
         k = 0
         while active.any():
             k += 1
-            if k == len(cdf):
-                raise RuntimeError("poisson inverse transform failed to terminate")
             out += active
             np.greater(block, cdf[k], out=active)
         block[:] = out

@@ -9,7 +9,9 @@ The terminal row is Binomial(n, p), which concentrates within O(sqrt(n))
 nodes of its mode. Two plain loops, up and down from the mode, weigh the
 nodes and form the payoff terms (below the strike, the weights alone), and
 each ends where a double sum can no longer see them: 9,608 of the 1,000,001
-nodes at 10^6 steps, in plain `math`, with no numpy or scipy.
+nodes at 10^6 steps, in plain `math`, with no numpy or scipy. Each node
+carries the discount e^{-r*t} in its exponent and the strike carries it once,
+so no factor follows the sums: one that underflows meets no infinite sum.
 """
 
 from __future__ import annotations
@@ -118,9 +120,9 @@ def crr_tree_price(spec: OptionSpec, cfg: TreeConfig) -> PriceResult:
     """Price a European call on a recombining binomial tree.
 
     Returns the discounted expected terminal payoff
-    e^{-rt} * sum_k C(n,k) p^k (1-p)^{n-k} max(spot*u^k*d^{n-k} - strike, 0), with each
-    node spot*exp((2k-n)*vol*sqrt(t/n)) computed directly (its term in logs if it passes
-    the largest double). A loop upward from the mode and one downward from it gather
+    sum_k C(n,k) p^k (1-p)^{n-k} max(e^{-rt}*spot*u^k*d^{n-k} - e^{-rt}*strike, 0), with each
+    discounted node spot*exp((2k-n)*vol*sqrt(t/n) - r*t) computed directly (its term in logs
+    if it passes the largest double). A loop upward from the mode and one downward from it gather
     the weights and the in-the-money terms until both fall past `_CUT`, and `math.fsum`
     rounds each sum correctly. When vol*sqrt(t/n) is zero (or underflows to it) the
     lattice is a single deterministic path, and the deterministic-limit price is returned.
@@ -129,7 +131,7 @@ def crr_tree_price(spec: OptionSpec, cfg: TreeConfig) -> PriceResult:
     dt = spec.expiry / n
     step_vol = spec.volatility * math.sqrt(dt)
     if not step_vol:
-        return degenerate_result(spec, "tree", detail={"steps": n, "degenerate": True})
+        return degenerate_result(spec, "tree", detail={"degenerate": True})
     if step_vol > MAX_STEP_VOL:
         raise ValueError(f"the lattice is too coarse: vol*sqrt(expiry/steps) = {step_vol:.6g} "
                          f"passes {MAX_STEP_VOL} "
@@ -144,9 +146,9 @@ def crr_tree_price(spec: OptionSpec, cfg: TreeConfig) -> PriceResult:
             f"is not within +-vol*sqrt(expiry/steps) = +-{step_vol:.6g} "
             + _more_steps(spec, n, spec.rate / spec.volatility, True))
 
-    disc = discount_factor(spec)
-    spot, strike, exp, inf = spec.spot, spec.strike, math.exp, math.inf
-    log_spot, log_strike = math.log(spot), math.log(strike)
+    rate_t = spec.rate * spec.expiry
+    spot, strike, exp, inf = spec.spot, spec.strike * discount_factor(spec), math.exp, math.inf
+    log_spot, log_strike = math.log(spot), math.log(spec.strike) - rate_t
     tiny = sys.float_info.min
     mode, odds = min(n, int((n + 1) * p)), p / (1.0 - p)  # as in binomial_weights
     weights, terms = array("d"), array("d")
@@ -156,7 +158,7 @@ def crr_tree_price(spec: OptionSpec, cfg: TreeConfig) -> PriceResult:
     for k in range(mode, n + 1):
         if not lifts:  # a lifted weight is under 2^-1022 of the mode's: no sum of weights sees it
             weights.append(w)
-        x = (2 * k - n) * step_vol
+        x = (2 * k - n) * step_vol - rate_t
         try:
             excess = spot * exp(x) - strike
         except OverflowError:  # exp alone passed the largest double
@@ -185,8 +187,9 @@ def crr_tree_price(spec: OptionSpec, cfg: TreeConfig) -> PriceResult:
         if w * ratio < tiny:
             w, lifts = math.ldexp(w, _LIFT_BITS), lifts + 1
         w *= ratio
-    # downward from the mode, down to the float floor; once a node is out of
-    # the money so is every lower one, and the loop weighs them alone
+    # downward from the mode, down to the float floor. There exp(x) <= n + 1: the mode holds at
+    # least 1/(n+1) of a law under which exp(x) has mean 1. Once a node is out of the money so
+    # is every lower one, and the loop weighs them alone
     w, excess = 1.0, inf
     for k in range(mode - 1, -1, -1):
         w *= (k + 1) / (n - k) / odds
@@ -194,11 +197,8 @@ def crr_tree_price(spec: OptionSpec, cfg: TreeConfig) -> PriceResult:
             break
         weights.append(w)
         if excess > 0.0:  # not below the strike yet
-            x = (2 * k - n) * step_vol
-            try:
-                excess = spot * exp(x) - strike
-            except OverflowError:
-                excess = inf
+            x = (2 * k - n) * step_vol - rate_t
+            excess = spot * exp(x) - strike
         if excess > 0.0:
             term = (w * excess if excess < inf
                     else _term_in_logs(math.log(w), log_spot + x, log_strike))
@@ -210,7 +210,7 @@ def crr_tree_price(spec: OptionSpec, cfg: TreeConfig) -> PriceResult:
         elif w < _CUT:
             break
     try:
-        price = disc * math.fsum(terms) / math.fsum(weights)
+        price = math.fsum(terms) / math.fsum(weights)
     except OverflowError:  # an infinite term, or a partial sum past the largest double
         price = math.inf
     if price == math.inf:
@@ -219,6 +219,6 @@ def crr_tree_price(spec: OptionSpec, cfg: TreeConfig) -> PriceResult:
 
     dp, dm = d_plus_minus(spec)
     u = math.exp(step_vol)
-    detail = {"steps": n, "terminal_nodes": n + 1, "up_factor": u, "down_factor": 1.0 / u,
+    detail = {"terminal_nodes": n + 1, "up_factor": u, "down_factor": 1.0 / u,
               "prob_up": p}
     return PriceResult(price=price, d_plus=dp, d_minus=dm, method="tree", detail=detail)

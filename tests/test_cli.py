@@ -42,19 +42,15 @@ class TestParseArgs:
         for command in ("price", "mc", "tree", "clt-demo", "lindeberg", "var-linearity"):
             assert command in message
 
-    def test_mc_round_trips_through_argv(self):
-        cfg = parse_args(MC_ARGS + ["--format", "json"])
-        assert parse_args(cfg.to_argv()) == cfg
-
-    def test_ladder_commands_round_trip(self):
+    def test_ladder_commands_parse_into_their_fields(self):
         cfg = parse_args(["clt-demo", "--model", "poisson_jump", "--jump-size", "1",
                           "--intensity", "2", "--samples", "1000", "--seed", "9",
                           "--n-ladder", "4,16,64", "--epsilon", "0.02", "--format", "csv"])
         assert cfg.model == IncrementModel.poisson_jump(1.0, 2.0)
-        assert parse_args(cfg.to_argv()) == cfg
-        cfg2 = parse_args(["var-linearity", "--model", "uniform", "--variance", "0.0225",
-                           "--samples", "500", "--seed", "3"])
-        assert parse_args(cfg2.to_argv()) == cfg2
+        cfg = parse_args(["var-linearity", "--model", "uniform", "--variance", "0.0225",
+                          "--samples", "500", "--seed", "3"])
+        assert (cfg.model, cfg.samples, cfg.seed, cfg.horizons) == (
+            IncrementModel("uniform", 0.0225), 500, 3, (0.25, 0.5, 1.0, 2.0))
 
     def test_unknown_flag_is_named(self):
         with pytest.raises(UsageError, match="--bogus"):
@@ -90,6 +86,22 @@ class TestParseArgs:
                 outputs.append(capsys.readouterr().out)
             assert outputs[0] == outputs[1]
             assert json.loads(outputs[0])["inputs"]["rate"] == float(rate)
+
+    @pytest.mark.parametrize("flag, value", [("--spot", "-inf"), ("--spot", "-Infinity"),
+                                             ("--rate", "-nan")])
+    def test_negative_non_finite_values_are_read_as_values(self, flag, value, capsys):
+        # argparse read -inf as a flag and printed four lines of usage
+        i = PRICE_ARGS.index(flag)
+        errors = []
+        for pair in ([flag, value], [f"{flag}={value}"]):
+            assert main(PRICE_ARGS[:i] + pair + PRICE_ARGS[i + 2:]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] and errors[0].count("\n") == 1
+        assert errors[0].startswith(flag[2:] + " must be")
+
+    def test_variance_model_without_variance_is_named(self, capsys):
+        assert main(["clt-demo", "--model", "normal", "--samples", "200", "--seed", "1"]) == 1
+        assert capsys.readouterr().err == "normal requires --variance\n"
 
     def test_main_maps_usage_errors_to_exit_one(self, capsys):
         assert main([]) == 1
@@ -142,6 +154,19 @@ class TestConfigFile:
     def test_dangling_config_flag(self):
         with pytest.raises(UsageError, match="--config"):
             parse_args(["price", "--config"])
+
+    @pytest.mark.parametrize("before, after", [(["--format", "json"], ["price"]), ([], [])])
+    def test_config_before_any_subcommand_is_usage_error(self, before, after, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("spot=50\n", encoding="utf-8")
+        assert main([*before, "--config", str(path), *after]) == 1
+        assert capsys.readouterr().err == "--config requires a subcommand\n"
+
+    def test_nested_config_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("spot=50\nconfig=other.cfg\n", encoding="utf-8")
+        assert main(["price", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"{path}:2: config files cannot nest --config\n"
 
 
 class TestExecute:
@@ -196,6 +221,8 @@ class TestExecute:
         PRICE_ARGS,
         ["tree", "--spot", "50", "--strike", "52", "--rate", "0.04", "--expiry", "1",
          "--vol", "0.15", "--steps", "32"],
+        ["tree", "--spot", "50", "--strike", "52", "--rate", "0.04", "--expiry", "1",
+         "--vol", "0", "--steps", "32"],
         ["mc", "--spot", "50", "--strike", "52", "--rate", "0.04", "--expiry", "1",
          "--vol", "0.15", "--paths", "5000", "--seed", "42"],
         ["clt-demo", "--model", "two_point", "--variance", "0.0225", "--samples", "1000",
@@ -204,7 +231,7 @@ class TestExecute:
          "--samples", "1000", "--seed", "11", "--n-ladder", "4,16"],
         ["var-linearity", "--model", "normal", "--variance", "0.0225", "--samples", "1000",
          "--seed", "11"],
-    ], ids=["price", "tree", "mc", "clt-demo", "lindeberg", "var-linearity"])
+    ], ids=["price", "tree", "tree-degenerate", "mc", "clt-demo", "lindeberg", "var-linearity"])
     def test_csv_and_json_carry_identical_numbers(self, argv):
         _, json_text = run_cli(argv + ["--format", "json"])
         _, csv_text = run_cli(argv + ["--format", "csv"])
@@ -226,7 +253,9 @@ class TestExecute:
             expected = {**scalars, **json_row}
             assert set(expected) <= set(csv_row)
             for key, value in expected.items():
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                if isinstance(value, bool):  # the tree's degenerate flag
+                    assert csv_row[key] == str(value).lower()
+                elif not isinstance(value, (int, float)):
                     assert csv_row[key] == str(value)
                 else:
                     assert float(csv_row[key]) == pytest.approx(value, abs=1e-9)
@@ -496,6 +525,26 @@ class TestCommandTable:
         assert out == "" and err.count("\n") == 1 and "Traceback" not in err
         assert err == ("bslab tree: the payoff sum of the lattice overflows a double at "
                        "steps=10000; use fewer steps\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("spot, rate, vol, steps", [
+        (5.148200222412013e-131, 1198.8, 84.8528137423857, 200),
+        (math.exp(-700.0), 789.99921, 79.0, 100)], ids=["nan", "below_the_floor"])
+    def test_lattice_whose_discount_underflows_prices(self, spot, rate, vol, steps, fmt,
+                                                      capsys):
+        # e^{-rt} multiplied the sums and rounded to 0: times an infinite payoff
+        # sum it printed price = nan with exit 0, and the second contract priced
+        # 0.0, under its floor spot - strike*e^{-rt} ~ 9.86e-305
+        option = ["--spot", repr(spot), "--strike", repr(spot), "--rate", repr(rate),
+                  "--expiry", "1", "--vol", repr(vol)]
+        assert main(["price", *option, "--format", "json"]) == 0
+        closed_form = json.loads(capsys.readouterr().out)["results"]["price"]
+        assert main(["tree", *option, "--steps", str(steps), "--format", fmt]) == 0
+        out, err = capsys.readouterr()
+        price = (json.loads(out)["results"]["price"] if fmt == "json" else
+                 float(next(line.split("=")[1] for line in out.splitlines()
+                            if line.strip().startswith("price"))))
+        assert err == "" and abs(price - closed_form) <= 1e-12 * closed_form
 
     @pytest.mark.parametrize("spot, vol, steps", [("1e-250", "36", "10000"),
                                                   ("1e-250", "40", "10000"),

@@ -332,6 +332,10 @@ class TestKsNormalTest:
         with pytest.raises(ValueError):
             ks_normal_test(np.zeros(500), 0.0, 0.0)
 
+    def test_rows_of_samples_are_named(self):
+        with pytest.raises(ValueError, match="samples must be one-dimensional"):
+            ks_normal_test(np.zeros((10, 10)), 0.0, 1.0)
+
 
 class TestVarianceLinearity:
     @pytest.mark.parametrize("model", [NORMAL, TWO_POINT], ids=["normal", "two_point"])

@@ -295,6 +295,10 @@ class TestPayoffExpectation:
         with pytest.raises(ValueError):
             lognormal_call_expectation(NormalParams(0.0, 0.0), 1.0)
 
+    def test_negative_std_dev_is_named(self):
+        with pytest.raises(ValueError, match="std_dev must be nonnegative, got -1.0"):
+            NormalParams(0.0, -1.0)
+
 
 class TestRiskNeutralParams:
     def test_example_values(self):

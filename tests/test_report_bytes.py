@@ -25,13 +25,14 @@ LADDER = ["--samples", "5000", "--seed", "2024", "--n-ladder", "16,256,4096", "-
 GOLDEN = {
     "price": (["price", *OPTION, "--vol", "0.15"],
               "efc7f49c364a5c24995fd4ddcf3c28d38cc78374466fcd1a44ed7bba9cd5d9ff"),
-    # price 3.0075704318988503 from the mode-centred weights and exact sums of
+    # price 3.00757043189885 from the mode-centred weights and exact sums of
     # bslab.tree (40-digit lattice sum, with p at 40 digits too,
     # 3.0075704318989252). The step probability (exp(r*t/n) - d)/(u - d)
     # cancelled: prob_up was 0.5009583355702923, now 0.5009583355703151 from
-    # expm1/sinh, and the price was 3.0075704318807173
+    # expm1/sinh, and the price was 3.0075704318807173. The discount moved
+    # inside each node, and the price from 3.0075704318988503 to 3.00757043189885
     "tree": (["tree", *OPTION, "--vol", "0.15", "--steps", "10000"],
-             "54e3f74597866934127568c90a364e015016cdbe2de73116909bac1888c3e2c5"),
+             "347fdff18b1115c624e01d717e0da393a7733262d2ab12ef9a3e2f57eb0e187a"),
     # paths in forward units, scaled by spot once: the last digits of price
     # moved (3.0122636161528513 -> 3.0122636161528518)
     "mc": (["mc", *OPTION, "--vol", "0.15", "--paths", "1000000", "--seed", "42"],

@@ -71,6 +71,17 @@ def test_poisson_stream_deterministic():
     assert np.array_equal(poisson_stream(8, 0, 512, 2.0), np.concatenate(parts))
 
 
+def test_poisson_stream_ends_where_rounding_stops_the_cdf(monkeypatch):
+    # at this mean the cdf stops at 1 - 2^-52 from k = 4 to the table's end, so
+    # the top uniform 1 - 2^-53 passed every entry and the sampler raised
+    mean = 0.0014185087879961008
+    _, cdf = poisson_law(mean)
+    assert cdf[4] == cdf[-1] == 1.0 - 2.0 ** -52
+    u = np.array([1.0 - 2.0 ** -53, 0.5])
+    monkeypatch.setattr(rng, "uniform_stream", lambda seed, start, count: u.copy())
+    assert list(poisson_stream(1, 0, u.size, mean)) == [4, 0]
+
+
 def test_poisson_mean_domain():
     with pytest.raises(ValueError):
         poisson_stream(1, 0, 10, 0.0)

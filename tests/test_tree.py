@@ -351,4 +351,4 @@ def test_lattice_prices_keep_their_bits_over_a_seeded_sweep():
             outcomes.append(type(exc).__name__)
     assert len(outcomes) == 2000
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
-    assert digest == "d13c947f2451973865f27a3c6d6fc2d595ec224a24f4a33c477a1a8f146e7468"
+    assert digest == "c3cc8ef589287712c1e71a0f0dcb538341effad09b2275ecb7a7eb42b5b56ea6"
