@@ -31,8 +31,6 @@ def render_json(report: dict) -> str:
 
 
 def _csv_cell(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, float):
@@ -53,13 +51,11 @@ def render_csv(report: dict) -> str:
     writer.writerow(columns)
     for row in rows:
         flat = {**inputs, **row, **tail}
-        writer.writerow([_csv_cell(flat.get(col)) for col in columns])
+        writer.writerow([_csv_cell(flat[col]) for col in columns])
     return buf.getvalue()
 
 
 def _text_value(value) -> str:
-    if value is None:
-        return "-"
     if isinstance(value, float):
         return f"{value:.12g}"
     return str(value)
@@ -78,7 +74,7 @@ def render_text(report: dict) -> str:
     rows = report.get("rows")
     if rows:
         columns = list(rows[0].keys())
-        table = [columns] + [[_text_value(r.get(c)) for c in columns] for r in rows]
+        table = [columns] + [[_text_value(r[c]) for c in columns] for r in rows]
         widths = [max(len(line[i]) for line in table) for i in range(len(columns))]
         lines.append("rows:")
         for line in table:

@@ -225,13 +225,13 @@ def normal_stream(seed: int, start: int, count: int) -> np.ndarray:
 
 def poisson_law(mean: float) -> tuple[list[float], list[float]]:
     """pmf and cdf of Poisson(mean) at k = 0, 1, ..., by p(k) = p(k-1) * (mean/k)
-    from exp(-mean). The table ends at the first k past the mean whose cdf
-    rounds to 1, or at k = int(mean + 40*sqrt(mean) + 200)."""
+    from exp(-mean). Past the mean the table ends once the cdf reaches 1.0 or the
+    pmf is 0 (later entries add exact zeros), or at k = int(mean + 40*sqrt(mean) + 200)."""
     pmf = [math.exp(-mean)]
     cdf = [pmf[0]]
     cap = int(mean + 40.0 * math.sqrt(mean) + 200.0)
     k = 0
-    while not (cdf[-1] >= 1.0 - 1e-18 and k > mean) and k < cap:
+    while not (k > mean and (cdf[-1] >= 1.0 or not pmf[-1])) and k < cap:
         k += 1
         pmf.append(pmf[-1] * (mean / k))
         cdf.append(cdf[-1] + pmf[-1])

@@ -94,13 +94,13 @@ def binomial_weights(n: int, p: float) -> tuple[int, array]:
 
 
 # the last bit of a double sum is at least 2^-53 of its largest term, so the
-# walk ends a direction once the weight and the payoff term are both under
-# 2^-64 of their sum's largest. The terms w*(node - strike) are log-concave,
-# hence unimodal, and fall geometrically past the cut, so what is left out
-# moves a sum only when it lies within ~2^-64 of a rounding boundary (one
-# ulp, about one contract in 4000). A cut on the weights alone would drop
-# deep out-of-the-money prices, whose terms peak vol*sqrt(t) binomial
-# standard deviations above the mode
+# walk ends upward once the weight and the payoff term are both under 2^-64
+# of their sum's largest, and downward once the weight is. The terms
+# w*(node - strike) are log-concave, hence unimodal, and fall geometrically
+# past the cut, so what is left out moves a sum only when it lies within
+# ~2^-64 of a rounding boundary (one ulp, about one contract in 4000). Upward,
+# a cut on the weights alone would drop deep out-of-the-money prices, whose
+# terms peak vol*sqrt(t) binomial standard deviations above the mode
 _CUT = 2.0 ** -64
 # exp(x) is a finite double exactly when x <= _LOG_MAX, and rounds to 0
 # below _LOG_ZERO
@@ -122,10 +122,10 @@ def crr_tree_price(spec: OptionSpec, cfg: TreeConfig) -> PriceResult:
     Returns the discounted expected terminal payoff
     sum_k C(n,k) p^k (1-p)^{n-k} max(e^{-rt}*spot*u^k*d^{n-k} - e^{-rt}*strike, 0), with each
     discounted node spot*exp((2k-n)*vol*sqrt(t/n) - r*t) computed directly (its term in logs
-    if it passes the largest double). A loop upward from the mode and one downward from it gather
-    the weights and the in-the-money terms until both fall past `_CUT`, and `math.fsum`
-    rounds each sum correctly. When vol*sqrt(t/n) is zero (or underflows to it) the
-    lattice is a single deterministic path, and the deterministic-limit price is returned.
+    if it passes the largest double). A loop upward from the mode gathers the weights and the
+    in-the-money terms until both fall past `_CUT`, one downward (nodes below spot) until the
+    weight does, and `math.fsum` rounds each sum correctly. When vol*sqrt(t/n) is zero (or
+    underflows to it) the lattice is a single deterministic path: the deterministic-limit price.
     """
     n = cfg.steps
     dt = spec.expiry / n
@@ -187,27 +187,20 @@ def crr_tree_price(spec: OptionSpec, cfg: TreeConfig) -> PriceResult:
         if w * ratio < tiny:
             w, lifts = math.ldexp(w, _LIFT_BITS), lifts + 1
         w *= ratio
-    # downward from the mode, down to the float floor. There exp(x) <= n + 1: the mode holds at
-    # least 1/(n+1) of a law under which exp(x) has mean 1. Once a node is out of the money so
-    # is every lower one, and the loop weighs them alone
+    # downward no weight passes the mode's and every node is below spot (x <= 2(p-1)*vol*sqrt(t/n)
+    # < 0 by Jensen), so a term is under w times the mode's and w alone ends the walk, far above
+    # the float floor; below the strike every node is out of the money and is weighed alone
     w, excess = 1.0, inf
     for k in range(mode - 1, -1, -1):
         w *= (k + 1) / (n - k) / odds
-        if w < tiny:
-            break
         weights.append(w)
         if excess > 0.0:  # not below the strike yet
             x = (2 * k - n) * step_vol - rate_t
             excess = spot * exp(x) - strike
-        if excess > 0.0:
-            term = (w * excess if excess < inf
-                    else _term_in_logs(math.log(w), log_spot + x, log_strike))
-            terms.append(term)
-            if term > largest:
-                largest = term
-            if w < _CUT and term < _CUT * largest:
-                break
-        elif w < _CUT:
+            if excess > 0.0:  # in logs only if spot is within an ulp of the largest double
+                terms.append(w * excess if excess < inf
+                             else _term_in_logs(math.log(w), log_spot + x, log_strike))
+        if w < _CUT:
             break
     try:
         price = math.fsum(terms) / math.fsum(weights)

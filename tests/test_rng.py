@@ -1,5 +1,6 @@
 import hashlib
 import math
+import struct
 import sys
 import threading
 import time
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from bslab.increments import IncrementModel
 from bslab.normal import norm_cdf_inv
 import bslab.rng as rng
 from bslab.rng import (BLOCK, block_mean_m2, map_blocks, normal_stream, poisson_law,
@@ -80,6 +82,38 @@ def test_poisson_stream_ends_where_rounding_stops_the_cdf(monkeypatch):
     u = np.array([1.0 - 2.0 ** -53, 0.5])
     monkeypatch.setattr(rng, "uniform_stream", lambda seed, start, count: u.copy())
     assert list(poisson_stream(1, 0, u.size, mean)) == [4, 0]
+
+
+POISSON_MEANS = np.geomspace(1e-6, 699.0, 1000, endpoint=False).tolist()
+
+
+def test_poisson_law_ends_at_the_first_entry_past_the_mean_that_adds_nothing():
+    # at this mean the cdf stops at 1 - 2^-52, so the table ends where the pmf
+    # underflows to 0 (k = 76), not at the cap (k = 201)
+    pmf, _ = poisson_law(0.0014185087879961008)
+    assert len(pmf) == 77 and pmf[-1] == 0.0 < pmf[-2]
+    for mean in POISSON_MEANS:
+        pmf, cdf = poisson_law(mean)
+        ends = [k > mean and (c >= 1.0 or not p) for k, (p, c) in enumerate(zip(pmf, cdf))]
+        assert ends.index(True) == len(pmf) - 1, mean  # the first such entry, short of the cap
+
+
+def _poisson_digest() -> str:
+    h = hashlib.sha256()
+    for mean in POISSON_MEANS:
+        _, cdf = poisson_law(mean)
+        h.update(np.array(cdf[:cdf.index(cdf[-1])]).tobytes())  # the cdf poisson_stream walks
+        h.update(poisson_stream(23, 0, 256, mean).tobytes())
+        model = IncrementModel.poisson_jump(1.0, mean)
+        for eps in (0.5, 2.0, 8.0):
+            h.update(struct.pack("<d", model.lindeberg_tail(1.0, eps)))
+    return h.hexdigest()
+
+
+def test_poisson_draws_and_tails_keep_their_bits_over_a_mean_sweep():
+    # frozen from tables that ran on to the cap through exact zeros: ending them
+    # at the first zero moves no bit
+    assert _poisson_digest() == "5544160e836eef285f07d5a21437d0296ca47176aaa04365211c323b8f72455f"
 
 
 def test_poisson_mean_domain():
@@ -258,7 +292,7 @@ def test_poisson_law_matches_reference_pmf(mean):
     k = np.arange(len(pmf))
     assert np.allclose(pmf, stats.poisson.pmf(k, mean), rtol=1e-11, atol=1e-300)
     assert np.array_equal(cdf, np.cumsum(pmf))
-    # the table runs past the mean until the cdf rounds to 1
+    # the table runs past the mean until the cdf reaches 1 or the pmf underflows
     assert len(pmf) - 1 > mean and cdf[-1] >= 1.0 - 1e-12
 
 

@@ -226,14 +226,32 @@ def test_a_million_steps_weigh_a_window_of_order_sqrt_n():
     assert lo > 0 and lo + len(weights) < 1_000_001
 
 
-def test_a_million_steps_stay_small_in_memory():
-    tracemalloc.start()
-    try:
-        crr_tree_price(EXAMPLE, TreeConfig(1_000_000))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2 ** 20
+def test_below_the_mode_every_node_is_under_spot_and_every_weight_under_the_modes():
+    # the downward walk stops on its weight alone because of these two facts, taken
+    # here as crr_tree_price takes them, over the hypothesis bounds sweep's domain
+    # (steps 1-64) and out to 10^9 steps, with rates up to +-vol*sqrt(t/n) per step
+    rnd = random.Random(1979)
+    checked = 0
+    for i in range(20_000):
+        n = rnd.randint(1, 64) if i % 2 else int(10 ** rnd.uniform(0.0, 9.0))
+        expiry, vol = 10 ** rnd.uniform(-6.0, 3.0), 10 ** rnd.uniform(-6.0, 3.0)
+        step_vol = vol * math.sqrt(expiry / n)
+        rate = (rnd.uniform(-50.0, 50.0) if rnd.random() < 0.5 else  # p near 0 or 1
+                rnd.choice((-1, 1)) * (1 - 10 ** rnd.uniform(-17.0, 0.0)) * step_vol * n / expiry)
+        rate_dt = rate * (expiry / n)
+        if not (abs(rate) <= 50.0 and 0.0 < step_vol <= MAX_STEP_VOL
+                and abs(rate_dt) < step_vol):
+            continue
+        p = (math.expm1(rate_dt) - math.expm1(-step_vol)) / (2.0 * math.sinh(step_vol))
+        mode = min(n, int((n + 1) * p))
+        if not (0.0 < p < 1.0 and mode):
+            continue
+        odds = p / (1.0 - p)
+        x = (2 * (mode - 1) - n) * step_vol - rate * expiry
+        w = mode / (n - mode + 1) / odds
+        assert x < 0.0 and w <= 1.0, (rate, expiry, vol, n)
+        checked += 1
+    assert checked > 5_000
 
 
 def test_a_million_steps_walk_only_the_nodes_a_double_sum_can_see():
