@@ -110,22 +110,11 @@ def _build_tree(a) -> dict:
     return {**_build_option(a), "tree_config": tree.TreeConfig(a.steps)}
 
 
-def _build_model(a) -> IncrementModel:
-    from .increments import KINDS, IncrementModel
-    if a.model == "poisson_jump":
-        if a.variance is not None or a.jump_size is None or a.intensity is None:
-            raise UsageError("poisson_jump takes --jump-size and --intensity, not --variance")
-        return IncrementModel.poisson_jump(a.jump_size, a.intensity)
-    if a.variance is None and a.model in KINDS:
-        raise UsageError(f"{a.model} requires --variance")
-    # IncrementModel rejects an unknown kind, naming the valid ones
-    return IncrementModel(a.model, a.variance, a.jump_size, a.intensity)
-
-
 def _build_sampling(a, min_samples: int) -> dict:
-    from . import rng
+    from . import increments, rng
     return {"samples": pricing.require_count("samples", a.samples, min_samples),
-            "model": _build_model(a), "seed": int(rng.check_seed(a.seed))}
+            "model": increments.IncrementModel(a.model, a.variance, a.jump_size, a.intensity),
+            "seed": int(rng.check_seed(a.seed))}
 
 
 def _build_ladder(a, ks: bool) -> dict:

@@ -25,42 +25,36 @@ from .rng import normal_stream, poisson_law, poisson_stream, uniform_stream
 KINDS = ("two_point", "uniform", "centered_exponential", "normal", "poisson_jump")
 
 
-def _jump_variance(jump_size: float, intensity: float) -> float:
-    """jump_size^2 * intensity; ValueError unless both and the product are
-    positive finite floats (overflow and underflow both fail)."""
-    jump_size = require_positive("jump_size", jump_size)
-    v = jump_size * jump_size * require_positive("intensity", intensity)  # overflows to inf
-    return require_positive(f"jump_size^2 * intensity = {jump_size}^2 * {intensity}", v)
-
-
 @dataclass(frozen=True)
 class IncrementModel:
     """A distribution family for triangular-array entries.
 
-    Use the factory classmethods; the constructor checks cross-field
-    consistency (poisson_jump carries jump_size/intensity and must satisfy
-    per_unit_variance = jump_size^2 * intensity).
+    The four scale kinds take per_unit_variance alone; poisson_jump takes
+    jump_size and intensity alone and derives per_unit_variance =
+    jump_size^2 * intensity. Each field is stored as a float.
     """
 
     kind: str
-    per_unit_variance: float
+    per_unit_variance: float | None = None
     jump_size: float | None = None
     intensity: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown increment model kind {self.kind!r}; expected one of {KINDS}")
-        if self.kind == "poisson_jump":
-            if self.jump_size is None or self.intensity is None:
-                raise ValueError("poisson_jump requires jump_size and intensity")
-            expected = _jump_variance(self.jump_size, self.intensity)
-            if not math.isclose(self.per_unit_variance, expected, rel_tol=1e-12):
-                raise ValueError(
-                    f"per_unit_variance {self.per_unit_variance} must equal "
-                    f"jump_size^2 * intensity = {expected}")
-        elif self.jump_size is not None or self.intensity is not None:
-            raise ValueError(f"jump parameters only apply to poisson_jump, not {self.kind}")
-        require_positive("per_unit_variance", self.per_unit_variance)
+        jump = self.kind == "poisson_jump"
+        takes = ["jump_size", "intensity"] if jump else ["per_unit_variance"]
+        given = [name for name in ("per_unit_variance", "jump_size", "intensity")
+                 if getattr(self, name) is not None]
+        if given != takes:
+            raise ValueError(f"{self.kind} takes {' and '.join(takes)} alone"
+                             + (", and derives per_unit_variance" if jump else ""))
+        for name in takes:  # each kept as the float its check returns
+            object.__setattr__(self, name, require_positive(name, getattr(self, name)))
+        if jump:
+            a, lam = self.jump_size, self.intensity
+            object.__setattr__(self, "per_unit_variance", require_positive(
+                f"jump_size^2 * intensity = {a}^2 * {lam}", a * a * lam))  # overflows to inf
 
     # -- factories ---------------------------------------------------------
 
@@ -87,8 +81,7 @@ class IncrementModel:
     @classmethod
     def poisson_jump(cls, jump_size: float, intensity: float) -> "IncrementModel":
         """jump_size * (Poisson(intensity*h) - intensity*h): compensated jumps."""
-        return cls("poisson_jump", _jump_variance(jump_size, intensity),
-                   jump_size=jump_size, intensity=intensity)
+        return cls("poisson_jump", jump_size=jump_size, intensity=intensity)
 
     # -- analytic moments ---------------------------------------------------
 

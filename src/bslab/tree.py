@@ -188,8 +188,9 @@ def crr_tree_price(spec: OptionSpec, cfg: TreeConfig) -> PriceResult:
             w, lifts = math.ldexp(w, _LIFT_BITS), lifts + 1
         w *= ratio
     # downward no weight passes the mode's and every node is below spot (x <= 2(p-1)*vol*sqrt(t/n)
-    # < 0 by Jensen), so a term is under w times the mode's and w alone ends the walk, far above
-    # the float floor; below the strike every node is out of the money and is weighed alone
+    # < 0 by Jensen, but for rounding near p = 1), so a term is under w times the mode's and w
+    # alone ends the walk, far above the float floor; below the strike every node is out of the
+    # money and is weighed alone
     w, excess = 1.0, inf
     for k in range(mode - 1, -1, -1):
         w *= (k + 1) / (n - k) / odds
@@ -197,7 +198,7 @@ def crr_tree_price(spec: OptionSpec, cfg: TreeConfig) -> PriceResult:
         if excess > 0.0:  # not below the strike yet
             x = (2 * k - n) * step_vol - rate_t
             excess = spot * exp(x) - strike
-            if excess > 0.0:  # in logs only if spot is within an ulp of the largest double
+            if excess > 0.0:  # in logs only if x rounds above 0 with spot at the largest double
                 terms.append(w * excess if excess < inf
                              else _term_in_logs(math.log(w), log_spot + x, log_strike))
         if w < _CUT:

@@ -101,7 +101,30 @@ class TestParseArgs:
 
     def test_variance_model_without_variance_is_named(self, capsys):
         assert main(["clt-demo", "--model", "normal", "--samples", "200", "--seed", "1"]) == 1
-        assert capsys.readouterr().err == "normal requires --variance\n"
+        assert capsys.readouterr().err == "normal takes per_unit_variance alone\n"
+
+    @pytest.mark.parametrize("wrong", ["missing", "foreign"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_model_refuses_inputs_of_another_kind_in_one_line(self, kind, wrong, capsys):
+        # per_unit_variance, jump_size and intensity are --variance, --jump-size and --intensity
+        inputs = ({"jump_size": 1.0, "intensity": 2.0} if kind == "poisson_jump"
+                  else {"per_unit_variance": 0.0225})
+        if wrong == "missing":
+            inputs.popitem()
+        else:
+            inputs.update({"per_unit_variance": 2.0} if kind == "poisson_jump" else
+                          {"jump_size": 1.0})
+        with pytest.raises(ValueError, match=f"^{kind} takes "):
+            IncrementModel(kind, **inputs)
+        flags = {"per_unit_variance": "--variance", "jump_size": "--jump-size",
+                 "intensity": "--intensity"}
+        argv = ["lindeberg", "--model", kind, "--samples", "200", "--seed", "1"]
+        for name, value in inputs.items():
+            argv += [flags[name], str(value)]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"{kind} takes ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_main_maps_usage_errors_to_exit_one(self, capsys):
         assert main([]) == 1

@@ -39,12 +39,39 @@ def test_factory_validation():
         with pytest.raises(ValueError, match=r"jump_size\^2 \* intensity"):
             IncrementModel.poisson_jump(jump_size, intensity)
         with pytest.raises(ValueError, match=r"jump_size\^2 \* intensity"):
-            IncrementModel("poisson_jump", 1.0, jump_size=jump_size, intensity=intensity)
+            IncrementModel("poisson_jump", jump_size=jump_size, intensity=intensity)
 
 
 def test_poisson_per_unit_variance_is_jump_squared_times_intensity():
     model = IncrementModel.poisson_jump(0.5, 3.0)
     assert model.per_unit_variance == 0.5 ** 2 * 3.0
+    assert IncrementModel("poisson_jump", jump_size=0.5, intensity=3.0) == model
+
+
+@pytest.mark.parametrize("inputs", [(np.float32(0.3), np.float32(2.1)), (1, 2)],
+                         ids=["float32", "int"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_fields_are_floats_and_give_the_bits_of_equal_floats(kind, inputs):
+    # each field is the float its check returns, so no input type reaches the arithmetic
+    def build(values):
+        if kind == "poisson_jump":
+            return IncrementModel.poisson_jump(*values)
+        return getattr(IncrementModel, kind)(values[0])
+
+    model, floats = build(inputs), build([float(v) for v in inputs])
+    fields = (model.per_unit_variance, model.jump_size, model.intensity)
+    assert model == floats and all(type(v) is float for v in fields if v is not None)
+    tail = model.lindeberg_tail(0.5, 0.01)
+    assert type(tail) is float and tail == floats.lindeberg_tail(0.5, 0.01)
+    assert np.array_equal(model.sample(0.5, 5, 0, 1000), floats.sample(0.5, 5, 0, 1000))
+
+
+@pytest.mark.parametrize("h", [350.0, 372.0, 380.0], ids=["mean_700", "mean_744", "mean_760"])
+def test_poisson_tail_refuses_a_mean_past_the_table(h):
+    # past mean 700 exp(-mean) underflows and the table's cap cuts the law short: summed
+    # anyway, the tail at mean 744 (exactly 744) reads 525.93, and at mean 760 reads 0.0
+    with pytest.raises(ValueError, match=r"poisson mean must be in \(0, 700\)"):
+        IncrementModel.poisson_jump(1.0, 2.0).lindeberg_tail(h, 0.01)
 
 
 def test_variance_scales_linearly_in_h():

@@ -121,6 +121,10 @@ def test_poisson_mean_domain():
         poisson_stream(1, 0, 10, 0.0)
     with pytest.raises(ValueError):
         poisson_stream(1, 0, 10, 800.0)
+    # the one table refuses what its exp(-mean) start cannot reach, for every caller
+    for mean in (0.0, -1.0, 700.0, 744.0, math.nan):
+        with pytest.raises(ValueError, match="poisson mean must be in"):
+            poisson_law(mean)
 
 
 def test_substream_derivation():

@@ -7,6 +7,7 @@ import tracemalloc
 import mpmath
 import pytest
 
+from bslab import tree
 from bslab.pricing import OptionSpec, bs_call_price, intrinsic_forward_value
 from bslab.tree import (MAX_STEP_VOL, TreeConfig, TreeParameterizationError, binomial_weights,
                         crr_tree_price)
@@ -229,7 +230,9 @@ def test_a_million_steps_weigh_a_window_of_order_sqrt_n():
 def test_below_the_mode_every_node_is_under_spot_and_every_weight_under_the_modes():
     # the downward walk stops on its weight alone because of these two facts, taken
     # here as crr_tree_price takes them, over the hypothesis bounds sweep's domain
-    # (steps 1-64) and out to 10^9 steps, with rates up to +-vol*sqrt(t/n) per step
+    # (steps 1-64) and out to 10^9 steps, with rates up to +-vol*sqrt(t/n) per step.
+    # They hold exactly; rounding at p within ~n ulps of 1 can break both by a hair
+    # (see test_a_node_below_the_mode_can_round_past_the_largest_double)
     rnd = random.Random(1979)
     checked = 0
     for i in range(20_000):
@@ -252,6 +255,28 @@ def test_below_the_mode_every_node_is_under_spot_and_every_weight_under_the_mode
         assert x < 0.0 and w <= 1.0, (rate, expiry, vol, n)
         checked += 1
     assert checked > 5_000
+
+
+def test_a_node_below_the_mode_can_round_past_the_largest_double(monkeypatch):
+    # the mode is at n, and (n-2)*vol*sqrt(t/n) - r*t, negative in exact arithmetic,
+    # rounds to 1.7e-16: spot*e^x passes the largest double one step below the mode,
+    # and only the downward in-logs term keeps the sum finite
+    spec = OptionSpec(spot=sys.float_info.max, strike=sys.float_info.max,
+                      rate=0.061882608656774876, expiry=6.779394989970392,
+                      volatility=5.095233563108114e-06)
+    n = 999_999_937
+    calls = []
+
+    def spy(*args):
+        caller = sys._getframe(1).f_locals
+        calls.append((caller["k"], caller["mode"]))
+        return term_in_logs(*args)
+
+    term_in_logs = tree._term_in_logs
+    monkeypatch.setattr(tree, "_term_in_logs", spy)
+    price = crr_tree_price(spec, TreeConfig(n)).price
+    assert calls == [(n, n), (n - 1, n)]  # the mode, upward; the node below it, downward
+    assert math.isclose(price, bs_call_price(spec).price, rel_tol=1e-12)
 
 
 def test_a_million_steps_walk_only_the_nodes_a_double_sum_can_see():
