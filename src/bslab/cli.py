@@ -2,8 +2,8 @@
 
 Subcommands: price | mc | tree | clt-demo | lindeberg | var-linearity.
 Every subcommand takes --format json|csv|text, --output PATH and --config
-PATH; a config file holds flat key=value lines (using the long option
-names, '#' starts a comment) and explicit command-line flags win over it.
+PATH (once); a config file holds flat key=value lines (using the long
+option names, '#' starts a comment) and explicit flags win over it.
 
 Each subcommand is one COMMANDS entry: flag groups, a build step making
 its domain objects and a run step returning its report. Steps import the
@@ -254,6 +254,8 @@ def _splice_config(argv: list[str]) -> list[str]:
             for part in (arg.split("=", 1) if arg.startswith("--config=") else (arg,))]
     if "--config" not in argv:
         return argv
+    if argv.count("--config") > 1:
+        raise UsageError("--config may be given only once")
     i = argv.index("--config")
     if i + 1 >= len(argv):
         raise UsageError("--config requires a file path")

@@ -158,7 +158,8 @@ def lindeberg_statistic(model: IncrementModel, n: int, horizon: float, epsilon: 
 
     def tail_squares(lo: int, hi: int) -> np.ndarray:
         z = model.sample(h, seed, lo, hi - lo)
-        return np.where(np.abs(z) > epsilon, z * z, 0.0)
+        z *= np.abs(z) > epsilon  # zeroed before squaring: no inf * 0 where z^2 overflows
+        return np.multiply(z, z, out=z)
 
     mean, m2 = block_mean_m2(tail_squares, samples)
     estimate = n * mean

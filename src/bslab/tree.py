@@ -9,9 +9,10 @@ The terminal row is Binomial(n, p), which concentrates within O(sqrt(n))
 nodes of its mode. Two plain loops, up and down from the mode, weigh the
 nodes and form the payoff terms (below the strike, the weights alone), and
 each ends where a double sum can no longer see them: 9,608 of the 1,000,001
-nodes at 10^6 steps, in plain `math`, with no numpy or scipy. Each node
-carries the discount e^{-r*t} in its exponent and the strike carries it once,
-so no factor follows the sums: one that underflows meets no infinite sum.
+nodes at 10^6 steps, in plain `math`, with no numpy or scipy. Node k is e^x,
+x = (2k-n)*vol*sqrt(t/n) - r*t, in forward units as in bslab.montecarlo, against
+kappa = strike*e^{-r*t}/spot: a martingale, so no term passes the sum of the
+weights and no factor follows the sums; a price under about 5e-324 of spot is 0.
 """
 
 from __future__ import annotations
@@ -96,36 +97,32 @@ def binomial_weights(n: int, p: float) -> tuple[int, array]:
 # the last bit of a double sum is at least 2^-53 of its largest term, so the
 # walk ends upward once the weight and the payoff term are both under 2^-64
 # of their sum's largest, and downward once the weight is. The terms
-# w*(node - strike) are log-concave, hence unimodal, and fall geometrically
+# w*(e^x - kappa) are log-concave, hence unimodal, and fall geometrically
 # past the cut, so what is left out moves a sum only when it lies within
 # ~2^-64 of a rounding boundary (one ulp, about one contract in 4000). Upward,
 # a cut on the weights alone would drop deep out-of-the-money prices, whose
 # terms peak vol*sqrt(t) binomial standard deviations above the mode
 _CUT = 2.0 ** -64
-# exp(x) is a finite double exactly when x <= _LOG_MAX, and rounds to 0
-# below _LOG_ZERO
-_LOG_MAX = math.log(sys.float_info.max)
+# exp(x) rounds to 0 below _LOG_ZERO
 _LOG_ZERO = -1075 * math.log(2.0)
 
 
-def _term_in_logs(log_w: float, log_node: float, log_strike: float) -> float:
-    """e^log_w * (node - strike), taken in logs, for an in-the-money node past the
-    largest double; inf if the term passes it too."""
-    shortfall = math.exp(log_strike - log_node)  # strike/node, under 1 but for rounding
-    log_term = log_w + log_node + (math.log1p(-shortfall) if shortfall < 1.0 else -math.inf)
-    return math.exp(log_term) if log_term <= _LOG_MAX else math.inf
+def _term_in_logs(log_w: float, x: float, log_kappa: float) -> float:
+    """e^log_w * max(e^x - kappa, 0), taken in logs, for a node e^x past the largest
+    double; the martingale keeps the term under the sum of the weights."""
+    gap = log_kappa - x  # log(kappa/e^x): in the money when negative
+    return math.exp(log_w + x + math.log(-math.expm1(gap))) if gap < 0.0 else 0.0
 
 
 def crr_tree_price(spec: OptionSpec, cfg: TreeConfig) -> PriceResult:
     """Price a European call on a recombining binomial tree.
 
-    Returns the discounted expected terminal payoff
-    sum_k C(n,k) p^k (1-p)^{n-k} max(e^{-rt}*spot*u^k*d^{n-k} - e^{-rt}*strike, 0), with each
-    discounted node spot*exp((2k-n)*vol*sqrt(t/n) - r*t) computed directly (its term in logs
-    if it passes the largest double). A loop upward from the mode gathers the weights and the
-    in-the-money terms until both fall past `_CUT`, one downward (nodes below spot) until the
-    weight does, and `math.fsum` rounds each sum correctly. When vol*sqrt(t/n) is zero (or
-    underflows to it) the lattice is a single deterministic path: the deterministic-limit price.
+    Returns spot * sum_k C(n,k) p^k (1-p)^{n-k} max(e^x_k - kappa, 0) in the module's forward
+    units, with kappa carried to twice the precision as kappa + kappa_lo, and each e^x_k computed
+    directly (its term in logs past the largest double). A loop upward from the mode gathers the
+    weights and the in-the-money terms until both fall past `_CUT`, one downward until the weight
+    does, and `math.fsum` rounds each sum correctly. A vol*sqrt(t/n) that is zero (or underflows
+    to it) is a single deterministic path: the deterministic-limit price.
     """
     n = cfg.steps
     dt = spec.expiry / n
@@ -146,9 +143,14 @@ def crr_tree_price(spec: OptionSpec, cfg: TreeConfig) -> PriceResult:
             f"is not within +-vol*sqrt(expiry/steps) = +-{step_vol:.6g} "
             + _more_steps(spec, n, spec.rate / spec.volatility, True))
 
-    rate_t = spec.rate * spec.expiry
-    spot, strike, exp, inf = spec.spot, spec.strike * discount_factor(spec), math.exp, math.inf
-    log_spot, log_strike = math.log(spot), math.log(spec.strike) - rate_t
+    rate_t, strike = spec.rate * spec.expiry, spec.strike * discount_factor(spec)
+    kappa, exp, inf = strike / spec.spot, math.exp, math.inf
+    log_kappa = math.log(spec.strike) - rate_t - math.log(spec.spot)
+    # kappa_lo = strike/spot - kappa, exact in integers (0 if kappa overflows), so that
+    # a node within rounding of the strike weighs its true excess
+    (a, b), (c, d) = strike.as_integer_ratio(), spec.spot.as_integer_ratio()
+    g, h = kappa.as_integer_ratio() if kappa < inf else (a * d, b * c)
+    kappa_lo = (a * d * h - g * b * c) / (b * c * h)
     tiny = sys.float_info.min
     mode, odds = min(n, int((n + 1) * p)), p / (1.0 - p)  # as in binomial_weights
     weights, terms = array("d"), array("d")
@@ -160,8 +162,8 @@ def crr_tree_price(spec: OptionSpec, cfg: TreeConfig) -> PriceResult:
             weights.append(w)
         x = (2 * k - n) * step_vol - rate_t
         try:
-            excess = spot * exp(x) - strike
-        except OverflowError:  # exp alone passed the largest double
+            excess = exp(x) - kappa - kappa_lo
+        except OverflowError:  # e^x passed the largest double
             excess = inf
         if excess > 0.0:
             if excess < inf:
@@ -169,7 +171,7 @@ def crr_tree_price(spec: OptionSpec, cfg: TreeConfig) -> PriceResult:
                 if lifts:
                     term = math.ldexp(term, -_LIFT_BITS * lifts)
             else:
-                term = _term_in_logs(math.log(w) - lifts * _LIFT_LOG, log_spot + x, log_strike)
+                term = _term_in_logs(math.log(w) - lifts * _LIFT_LOG, x, log_kappa)
             terms.append(term)
             if term > largest:
                 largest = term
@@ -177,9 +179,9 @@ def crr_tree_price(spec: OptionSpec, cfg: TreeConfig) -> PriceResult:
                 break
         elif lifts:
             # past the floor and out of the money: every higher term is under
-            # weight*node, which is log-concave in k, so once that falls and
-            # rounds to 0 every later term does too
-            log_weighted = math.log(w) - lifts * _LIFT_LOG + log_spot + x
+            # w*e^x, which is log-concave in k, so once that falls and rounds
+            # to 0 every later term does too
+            log_weighted = math.log(w) - lifts * _LIFT_LOG + x
             if log_weighted < before and log_weighted < _LOG_ZERO:
                 break
             before = log_weighted
@@ -187,7 +189,7 @@ def crr_tree_price(spec: OptionSpec, cfg: TreeConfig) -> PriceResult:
         if w * ratio < tiny:
             w, lifts = math.ldexp(w, _LIFT_BITS), lifts + 1
         w *= ratio
-    # downward no weight passes the mode's and every node is below spot (x <= 2(p-1)*vol*sqrt(t/n)
+    # downward no weight passes the mode's and e^x is at most about 1 (x <= 2(p-1)*vol*sqrt(t/n)
     # < 0 by Jensen, but for rounding near p = 1), so a term is under w times the mode's and w
     # alone ends the walk, far above the float floor; below the strike every node is out of the
     # money and is weighed alone
@@ -196,20 +198,14 @@ def crr_tree_price(spec: OptionSpec, cfg: TreeConfig) -> PriceResult:
         w *= (k + 1) / (n - k) / odds
         weights.append(w)
         if excess > 0.0:  # not below the strike yet
-            x = (2 * k - n) * step_vol - rate_t
-            excess = spot * exp(x) - strike
-            if excess > 0.0:  # in logs only if x rounds above 0 with spot at the largest double
-                terms.append(w * excess if excess < inf
-                             else _term_in_logs(math.log(w), log_spot + x, log_strike))
+            excess = exp((2 * k - n) * step_vol - rate_t) - kappa - kappa_lo
+            if excess > 0.0:
+                terms.append(w * excess)
         if w < _CUT:
             break
-    try:
-        price = math.fsum(terms) / math.fsum(weights)
-    except OverflowError:  # an infinite term, or a partial sum past the largest double
-        price = math.inf
-    if price == math.inf:
-        raise ValueError(f"the payoff sum of the lattice overflows a double at steps={n}; "
-                         f"use fewer steps")
+    price = spec.spot * (math.fsum(terms) / math.fsum(weights))
+    if price == math.inf:  # spot near the largest double, and the ratio rounded above 1
+        raise ValueError(f"the lattice price passes the largest double at spot={spec.spot}")
 
     dp, dm = d_plus_minus(spec)
     u = math.exp(step_vol)

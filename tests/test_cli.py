@@ -185,6 +185,18 @@ class TestConfigFile:
         assert main([*before, "--config", str(path), *after]) == 1
         assert capsys.readouterr().err == "--config requires a subcommand\n"
 
+    @pytest.mark.parametrize("second", [["--config", "{other}"], ["--config=/nonexistent"]],
+                             ids=["two_files", "equals_form_missing_file"])
+    def test_repeated_config_is_usage_error(self, second, tmp_path, capsys):
+        # the second file was skipped without a word, even one that does not exist
+        path, other = tmp_path / "run.cfg", tmp_path / "other.cfg"
+        path.write_text("spot=50\nstrike=52\nrate=0.04\nexpiry=1\nvol=0.15\n", encoding="utf-8")
+        other.write_text("strike=60\n", encoding="utf-8")
+        argv = ["price", "--config", str(path), *(a.format(other=other) for a in second)]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "--config may be given only once\n"
+
     def test_nested_config_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
         path.write_text("spot=50\nconfig=other.cfg\n", encoding="utf-8")
@@ -540,14 +552,24 @@ class TestCommandTable:
         results = json.loads(out)["results"]
         assert err == "" and abs(results["price"] - 1e308) <= 4.0 * results["std_error"]
 
-    def test_overflowing_lattice_node_exits_two_with_one_line(self, capsys):
-        # spot 1e308: the weighted nodes near the mode are finite, their sum is not
-        assert main(["tree", "--spot", "1e308", "--strike", "1e-308", "--rate", "0.04",
-                     "--expiry", "1", "--vol", "0.15", "--steps", "10000"]) == 2
+    @pytest.mark.parametrize("strike, rate, vol", [("1e308", "0.05", "0.2"),
+                                                   ("1e-308", "0.04", "0.15")],
+                             ids=["at_the_money", "deep_in_the_money"])
+    def test_lattice_payoff_past_the_double_range_prices(self, strike, rate, vol, capsys):
+        # spot*e^x passes the largest double near the mode here; in forward units no
+        # term passes the sum of the weights, so no payoff sum overflows
+        inputs = ["--spot", "1e308", "--strike", strike, "--rate", rate, "--expiry", "1",
+                  "--vol", vol, "--format", "json"]
+        assert main(["tree", *inputs, "--steps", "10000"]) == 0
         out, err = capsys.readouterr()
-        assert out == "" and err.count("\n") == 1 and "Traceback" not in err
-        assert err == ("bslab tree: the payoff sum of the lattice overflows a double at "
-                       "steps=10000; use fewer steps\n")
+        assert main(["price", *inputs]) == 0
+        closed = json.loads(capsys.readouterr().out)["results"]["price"]
+        price = json.loads(out)["results"]["price"]
+        # a float step probability keeps the lattice a martingale to rounding only, so
+        # the bounds take the lattice slack of the bounds sweep, 1e-9 of spot
+        lower = 1e308 - float(strike) * math.exp(-float(rate))
+        assert err == "" and lower - 1e-9 * 1e308 <= price <= 1e308 * (1.0 + 1e-9)
+        assert abs(price - closed) <= 1e-4 * closed
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("spot, rate, vol, steps", [

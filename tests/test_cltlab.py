@@ -284,6 +284,33 @@ class TestLindebergStatistic:
         assert res.estimate == pytest.approx(16 * math.fsum(w) / samples, rel=1e-13)
         assert res.std_error == pytest.approx(16 * w.std(ddof=1) / math.sqrt(samples), rel=1e-12)
 
+    @pytest.mark.parametrize("epsilon", [0.002, 0.01])
+    @pytest.mark.parametrize("n", [16, 256, 4096])
+    @pytest.mark.parametrize("model", KIND_MODELS, ids=lambda m: m.kind)
+    def test_tail_squares_keep_the_bits_of_the_where_form(self, model, n, epsilon, monkeypatch):
+        # z^2 where |z| > epsilon, else +0.0, in the bits of
+        # np.where(np.abs(z) > epsilon, z * z, 0.0), block by block
+        same = []
+
+        def spy(fn, count):
+            def checked(lo, hi):
+                tail = fn(lo, hi)
+                z = model.sample(1.0 / n, 5, lo, hi - lo)
+                where = np.where(np.abs(z) > epsilon, z * z, 0.0)
+                same.append(np.array_equal(tail.view(np.uint64), where.view(np.uint64)))
+                return tail
+            return rng.block_mean_m2(checked, count)
+
+        monkeypatch.setattr(cltlab, "block_mean_m2", spy)
+        lindeberg_statistic(model, n, 1.0, epsilon, BLOCK + 17, 5)
+        assert same == [True, True]
+
+    def test_masked_out_draws_whose_squares_overflow_weigh_zero(self):
+        # cells of sd 1e154 pass 1.34e154, whose square is inf, under epsilon 1e300:
+        # squared before the mask, inf * 0 would leave nan estimates
+        res = lindeberg_statistic(IncrementModel.normal(1e308), 1, 1.0, 1e300, 1000, 5)
+        assert res.estimate == 0.0 and res.std_error == 0.0
+
     def test_memory_does_not_grow_with_samples(self):
         tracemalloc.start()
         try:

@@ -228,10 +228,11 @@ def test_a_million_steps_weigh_a_window_of_order_sqrt_n():
 
 
 def test_below_the_mode_every_node_is_under_spot_and_every_weight_under_the_modes():
-    # the downward walk stops on its weight alone because of these two facts, taken
-    # here as crr_tree_price takes them, over the hypothesis bounds sweep's domain
-    # (steps 1-64) and out to 10^9 steps, with rates up to +-vol*sqrt(t/n) per step.
-    # They hold exactly; rounding at p within ~n ulps of 1 can break both by a hair
+    # the downward walk stops on its weight alone because of these two facts (every
+    # node e^x under 1, the forward, and every weight under the mode's), taken here as
+    # crr_tree_price takes them, over the hypothesis bounds sweep's domain (steps
+    # 1-64) and out to 10^9 steps, with rates up to +-vol*sqrt(t/n) per step. They
+    # hold exactly; rounding at p within ~n ulps of 1 can break both by a hair
     # (see test_a_node_below_the_mode_can_round_past_the_largest_double)
     rnd = random.Random(1979)
     checked = 0
@@ -259,8 +260,9 @@ def test_below_the_mode_every_node_is_under_spot_and_every_weight_under_the_mode
 
 def test_a_node_below_the_mode_can_round_past_the_largest_double(monkeypatch):
     # the mode is at n, and (n-2)*vol*sqrt(t/n) - r*t, negative in exact arithmetic,
-    # rounds to 1.7e-16: spot*e^x passes the largest double one step below the mode,
-    # and only the downward in-logs term keeps the sum finite
+    # rounds to 1.7e-16, so spot*e^x one step below the mode would pass the largest
+    # double; in forward units that node is e^x, about 1, and no term below the mode
+    # is taken in logs
     spec = OptionSpec(spot=sys.float_info.max, strike=sys.float_info.max,
                       rate=0.061882608656774876, expiry=6.779394989970392,
                       volatility=5.095233563108114e-06)
@@ -275,7 +277,7 @@ def test_a_node_below_the_mode_can_round_past_the_largest_double(monkeypatch):
     term_in_logs = tree._term_in_logs
     monkeypatch.setattr(tree, "_term_in_logs", spy)
     price = crr_tree_price(spec, TreeConfig(n)).price
-    assert calls == [(n, n), (n - 1, n)]  # the mode, upward; the node below it, downward
+    assert [k for k, mode in calls if k < mode] == []
     assert math.isclose(price, bs_call_price(spec).price, rel_tol=1e-12)
 
 
@@ -361,7 +363,7 @@ def lattice_sweep():
             s = spec(rnd.uniform(-5.0, 5.0), vst * rnd.uniform(30.0, 45.0), rnd.uniform(0.0, 0.05),
                      1.0, vst)
         yield s, fitting_steps(s, 5.0)
-    for _ in range(200):  # nodes past the largest double, their terms in logs
+    for _ in range(200):  # spot-unit nodes past the largest double
         s = spec(rnd.uniform(600.0, 700.0), rnd.uniform(-3.0, 3.0), rnd.uniform(0.0, 0.1), 1.0,
                  rnd.uniform(3.0, 40.0))
         yield s, fitting_steps(s, 4.0)
@@ -372,7 +374,7 @@ def lattice_sweep():
         log_spot = rnd.choice((math.log(50.0), rnd.uniform(-700.0, 700.0),
                                rnd.uniform(680.0, 705.0)))
         yield spec(log_spot, rnd.uniform(-1.0, 1.0), drift * n, 1.0, step_vol * math.sqrt(n)), n
-    for _ in range(100):  # the mode at n, and nodes below it past the largest double
+    for _ in range(100):  # the mode at n, and spot-unit nodes below it past the largest double
         n = rnd.randint(2, 12)
         step_vol = rnd.uniform(0.01, 0.5)
         drift = step_vol * (1.0 - 10 ** rnd.uniform(-12.0, -1.0))
@@ -382,9 +384,9 @@ def lattice_sweep():
 
 
 def test_lattice_prices_keep_their_bits_over_a_seeded_sweep():
-    # 2,000 contracts: bench-like ones at steps 1-10^6, lifted weights, nodes
-    # past the largest double (above the mode and below it), the mode at 0 and
-    # at n, and inputs the lattice refuses or whose sums overflow. The digest is frozen: a price moves
+    # 2,000 contracts: bench-like ones at steps 1-10^6, lifted weights, spot-unit
+    # nodes past the largest double (above the mode and below it), the mode at 0
+    # and at n, and inputs the lattice refuses. The digest is frozen: a price moves
     # it when the walk weighs another set of nodes or a term changes its bits
     outcomes = []
     for spec, n in lattice_sweep():
@@ -394,4 +396,4 @@ def test_lattice_prices_keep_their_bits_over_a_seeded_sweep():
             outcomes.append(type(exc).__name__)
     assert len(outcomes) == 2000
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
-    assert digest == "c3cc8ef589287712c1e71a0f0dcb538341effad09b2275ecb7a7eb42b5b56ea6"
+    assert digest == "b7a952274463f88581d980bdc230b5a26030c2cf27905d6248e989194dae0d88"
