@@ -6,11 +6,12 @@ PATH (once); a config file holds flat key=value lines (using the long
 option names, '#' starts a comment) and explicit flags win over it.
 
 Each subcommand is one COMMANDS entry: flag groups, a build step making
-its domain objects and a run step returning its report. Steps import the
-domain modules they use when they run, so `price` and `tree` load neither
-numpy nor scipy, and call the pricers and experiments through those
-modules, so a tracer that rebinds a function in its home module sees every
-call.
+its domain objects, keyed by name, and a run step taking those objects as
+its parameters and returning its report, so the two steps meet in one
+signature. Steps import the domain modules they use when they run, so
+`price` and `tree` load neither numpy nor scipy, and call the pricers and
+experiments through those modules, so a tracer that rebinds a function in
+its home module sees every call.
 
 Exit codes: 0 success, 1 usage error, 2 numerical/convergence error.
 """
@@ -22,15 +23,9 @@ import re
 import sys
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from . import pricing
 from .reports import render_csv, render_json, render_text
-
-if TYPE_CHECKING:
-    from .increments import IncrementModel
-    from .montecarlo import McConfig
-    from .tree import TreeConfig
 
 FORMATS = {"json": render_json, "csv": render_csv, "text": render_text}
 
@@ -41,22 +36,13 @@ class UsageError(Exception):
 
 @dataclass
 class RunConfig:
-    """A validated run: the command, its output and the domain objects built
-    from its flags."""
+    """A validated run: the command, its output, and the objects its build
+    step made from its flags, keyed by the names of its run step's parameters."""
 
     command: str
     output_format: str
     output_path: str | None
-    option_spec: pricing.OptionSpec | None = None
-    tree_config: TreeConfig | None = None
-    mc_config: McConfig | None = None
-    model: IncrementModel | None = None
-    samples: int | None = None
-    seed: int | None = None
-    horizon: float | None = None
-    n_ladder: tuple[int, ...] | None = None
-    epsilon: float | None = None
-    horizons: tuple[float, ...] | None = None
+    objects: dict
 
 
 # flag groups: (flag, argparse keyword arguments) pairs
@@ -94,7 +80,7 @@ _COMMON = (
 )
 
 
-# build steps: parsed flags -> RunConfig fields
+# build steps: parsed flags -> the run step's objects, by parameter name
 def _build_option(a) -> dict:
     return {"option_spec": pricing.OptionSpec(spot=a.spot, strike=a.strike, rate=a.rate,
                                               expiry=a.expiry, volatility=a.vol)}
@@ -139,7 +125,7 @@ def _build_var_linearity(a) -> dict:
     return {**sampling, "horizons": cltlab.check_horizons(horizons)}
 
 
-# run steps: RunConfig -> report sections (inputs, results, diagnostics, rows)
+# run steps: built objects -> report sections (inputs, results, diagnostics, rows)
 def _price_report(spec: pricing.OptionSpec, result: pricing.PriceResult, **inputs) -> dict:
     results = {"price": result.price, "d_plus": result.d_plus, "d_minus": result.d_minus}
     if result.std_error is not None:
@@ -149,61 +135,59 @@ def _price_report(spec: pricing.OptionSpec, result: pricing.PriceResult, **input
             "results": results, "diagnostics": {"method": result.method}}
 
 
-def _mc_report(cfg: RunConfig) -> dict:
+def _mc_report(option_spec: pricing.OptionSpec, mc_config) -> dict:
     from . import montecarlo
-    return _price_report(cfg.option_spec, montecarlo.mc_price(cfg.option_spec, cfg.mc_config),
-                         paths=cfg.mc_config.paths, seed=cfg.mc_config.seed)
+    return _price_report(option_spec, montecarlo.mc_price(option_spec, mc_config),
+                         paths=mc_config.paths, seed=mc_config.seed)
 
 
-def _tree_report(cfg: RunConfig) -> dict:
+def _tree_report(option_spec: pricing.OptionSpec, tree_config) -> dict:
     from . import tree
-    result = tree.crr_tree_price(cfg.option_spec, cfg.tree_config)
-    report = _price_report(cfg.option_spec, result, steps=cfg.tree_config.steps)
+    result = tree.crr_tree_price(option_spec, tree_config)
+    report = _price_report(option_spec, result, steps=tree_config.steps)
     report["diagnostics"].update(result.detail)
     return report
 
 
-def _model_inputs(cfg: RunConfig) -> dict:
-    """Inputs of the three model commands, ending in their horizons."""
-    m = cfg.model
-    inputs = {"model": m.kind, "samples": cfg.samples, "seed": cfg.seed}
-    if m.kind == "poisson_jump":
-        inputs.update(jump_size=m.jump_size, intensity=m.intensity)
-    inputs["variance"] = m.per_unit_variance
-    if cfg.horizons is not None:
-        return {**inputs, "horizons": list(cfg.horizons)}
-    return {**inputs, "horizon": cfg.horizon, "epsilon": cfg.epsilon,
-            "n_ladder": list(cfg.n_ladder)}
+def _model_inputs(model, samples: int, seed: int, **horizons) -> dict:
+    """Inputs of the three model commands, ending in their horizon entries."""
+    inputs = {"model": model.kind, "samples": samples, "seed": seed}
+    if model.kind == "poisson_jump":
+        inputs.update(jump_size=model.jump_size, intensity=model.intensity)
+    return {**inputs, "variance": model.per_unit_variance, **horizons}
 
 
-def _clt_demo_report(cfg: RunConfig) -> dict:
+def _clt_demo_report(model, samples: int, seed: int, horizon: float, n_ladder: tuple[int, ...],
+                     epsilon: float) -> dict:
     from . import cltlab
-    spec = cltlab.ArraySpec(cfg.model, cfg.horizon, 1, cfg.samples, cfg.seed)
-    rep = cltlab.run_convergence_experiment(spec, cfg.n_ladder, cfg.epsilon)
+    spec = cltlab.ArraySpec(model, horizon, 1, samples, seed)
+    rep = cltlab.run_convergence_experiment(spec, n_ladder, epsilon)
     rows = [{"n": n, "ks_statistic": ks, "lindeberg": lv, "max_cell_variance": mv}
             for n, ks, lv, mv in zip(rep.n_ladder, rep.ks_statistics,
                                      rep.lindeberg_values, rep.max_cell_variance)]
-    return {"inputs": _model_inputs(cfg), "rows": rows,
-            "results": {"verdict": rep.verdict, "ks_threshold": rep.ks_threshold}}
+    return {"inputs": _model_inputs(model, samples, seed, horizon=horizon, epsilon=epsilon,
+                                    n_ladder=list(n_ladder)),
+            "rows": rows, "results": {"verdict": rep.verdict, "ks_threshold": rep.ks_threshold}}
 
 
-def _lindeberg_report(cfg: RunConfig) -> dict:
+def _lindeberg_report(model, samples: int, seed: int, horizon: float, n_ladder: tuple[int, ...],
+                      epsilon: float) -> dict:
     from . import cltlab, rng
-    stats = [cltlab.lindeberg_statistic(cfg.model, n, cfg.horizon, cfg.epsilon, cfg.samples,
-                                        rng.substream(cfg.seed, k))
-             for k, n in enumerate(cfg.n_ladder)]
+    stats = [cltlab.lindeberg_statistic(model, n, horizon, epsilon, samples, rng.substream(seed, k))
+             for k, n in enumerate(n_ladder)]
     rows = [{"n": n, "lindeberg": s.analytic, "mc_estimate": s.estimate,
-             "mc_std_error": s.std_error} for n, s in zip(cfg.n_ladder, stats)]
-    return {"inputs": _model_inputs(cfg), "rows": rows}
+             "mc_std_error": s.std_error} for n, s in zip(n_ladder, stats)]
+    return {"inputs": _model_inputs(model, samples, seed, horizon=horizon, epsilon=epsilon,
+                                    n_ladder=list(n_ladder)), "rows": rows}
 
 
-def _var_linearity_report(cfg: RunConfig) -> dict:
+def _var_linearity_report(model, samples: int, seed: int, horizons: tuple[float, ...]) -> dict:
     from . import cltlab
-    res = cltlab.variance_linearity_check(cfg.model, cfg.horizons, cfg.samples, cfg.seed)
+    res = cltlab.variance_linearity_check(model, horizons, samples, seed)
     rows = [{"horizon": t, "variance": v, "variance_std_error": se}
             for t, v, se in zip(res.horizons, res.variances, res.variance_std_errors)]
     fit = ("slope", "intercept", "slope_std_error", "intercept_std_error", "max_residual")
-    return {"inputs": _model_inputs(cfg), "rows": rows,
+    return {"inputs": _model_inputs(model, samples, seed, horizons=list(horizons)), "rows": rows,
             "results": {key: getattr(res, key) for key in fit}}
 
 
@@ -212,8 +196,8 @@ def _var_linearity_report(cfg: RunConfig) -> dict:
 Command = namedtuple("Command", "help groups build run")
 COMMANDS = {
     "price": Command("closed-form call price", (_OPTION,), _build_option,
-                     lambda cfg: _price_report(cfg.option_spec,
-                                               pricing.bs_call_price(cfg.option_spec))),
+                     lambda option_spec: _price_report(option_spec,
+                                                       pricing.bs_call_price(option_spec))),
     "mc": Command("Monte Carlo call price", (_OPTION, _PATHS), _build_mc, _mc_report),
     "tree": Command("binomial-tree call price", (_OPTION, _STEPS), _build_tree, _tree_report),
     "clt-demo": Command("row-sum normality experiment over an n ladder", (_MODEL, _LADDER),
@@ -290,13 +274,13 @@ def parse_args(argv: list[str]) -> RunConfig:
         built = COMMANDS[args.command].build(args)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return RunConfig(args.command, args.format, args.output, **built)
+    return RunConfig(args.command, args.format, args.output, built)
 
 
 def execute(cfg: RunConfig, out=None) -> int:
     """Run a validated config, emit its report, return the exit code."""
     try:
-        report = {"command": cfg.command, **COMMANDS[cfg.command].run(cfg)}
+        report = {"command": cfg.command, **COMMANDS[cfg.command].run(**cfg.objects)}
         text = FORMATS[cfg.output_format](report)
     except (ValueError, RuntimeError) as exc:
         print(f"bslab {cfg.command}: {exc}", file=sys.stderr)

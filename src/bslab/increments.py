@@ -106,7 +106,8 @@ class IncrementModel:
         c = epsilon / s
         if self.kind == "normal":
             # 2*integral_c^inf z^2 phi(z) dz = 2*(c*phi(c) + 1 - N(c)), empty once c overflows
-            return v * 2.0 * (c * norm_pdf(c) + norm_cdf(-c)) if c < math.inf else 0.0
+            # (2 is exact on the bracket, where v*2 overflows past 9e307)
+            return v * (2.0 * (c * norm_pdf(c) + norm_cdf(-c))) if c < math.inf else 0.0
         if self.kind == "centered_exponential":
             # Z/s + 1 ~ Exp(1), and -e^{-x}(x^2 + 1) is an antiderivative of
             # (x - 1)^2 e^{-x}: the tail above 1 + c, plus the one below 1 - c

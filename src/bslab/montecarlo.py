@@ -4,7 +4,8 @@ Paths are in forward units: the terminal price over the forward spot*e^{rT}
 is g = exp(s*z - s^2/2), of mean 1, for s = vol*sqrt(T) and z from the
 counter-based normal stream of bslab.rng (draw i depends only on (seed, i)).
 The present value of the payoff is spot*max(g - kappa, 0), kappa =
-strike*e^{-rT}/spot, so no draw passes the largest double whatever the spot,
+strike*e^{-rT}/spot held to twice the precision as in the lattice
+(pricing.forward_strike), so no draw passes the largest double whatever the spot,
 and the mean and standard error are scaled by spot once. rng.block_mean_m2
 and rng.map_blocks cut the paths into canonical rng.BLOCK-sized pieces and
 combine them in order: memory is O(block) and the bits are the same on one
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pricing import (OptionSpec, PriceResult, d_plus_minus, degenerate_result, discount_factor,
+from .pricing import (OptionSpec, PriceResult, d_plus_minus, degenerate_result, forward_strike,
                       require_count)
 from .rng import block_mean_m2, check_seed, map_blocks, normal_stream
 
@@ -53,11 +54,12 @@ def mc_price(spec: OptionSpec, cfg: McConfig) -> PriceResult:
     if spec.vol_sqrt_t == 0.0:
         return degenerate_result(spec, "monte_carlo", std_error=0.0, detail={"degenerate": True})
 
-    kappa = spec.strike * discount_factor(spec) / spec.spot
+    kappa, kappa_lo = forward_strike(spec)
 
     def payoff(lo: int, hi: int) -> np.ndarray:
         g = _forward_units(spec, cfg, lo, hi)
         g -= kappa
+        g -= kappa_lo
         return np.maximum(g, 0.0, out=g)
 
     mean, m2 = block_mean_m2(payoff, cfg.paths)

@@ -176,6 +176,17 @@ def discount_factor(spec: OptionSpec) -> float:
     return disc
 
 
+def forward_strike(spec: OptionSpec) -> tuple[float, float]:
+    """(kappa, kappa_lo): the strike in forward units, strike*e^{-rt}/spot, rounded,
+    and the rest that the rounding leaves out, exact in integers (0 if kappa
+    overflows), so that a node or path within rounding of it weighs its true excess."""
+    strike = spec.strike * discount_factor(spec)
+    kappa = strike / spec.spot
+    (a, b), (c, d) = strike.as_integer_ratio(), spec.spot.as_integer_ratio()
+    g, h = kappa.as_integer_ratio() if kappa < _INF else (a * d, b * c)
+    return kappa, (a * d * h - g * b * c) / (b * c * h)
+
+
 def intrinsic_forward_value(spec: OptionSpec) -> float:
     """Deterministic-limit price max(spot - strike*e^{-rt}, 0)."""
     return max(spec.spot - spec.strike * discount_factor(spec), 0.0)

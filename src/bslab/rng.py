@@ -173,11 +173,12 @@ def _mix64(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return x
 
 
-def check_seed(seed: int) -> np.uint64:
-    """The seed as a uint64; ValueError unless it is an integer in [0, 2**64)."""
-    seed = require_count("seed", seed, 0)
+def check_seed(seed: int, name: str = "seed") -> np.uint64:
+    """The seed (or the input called name) as a uint64; ValueError naming it
+    unless it is an integer in [0, 2**64)."""
+    seed = require_count(name, seed, 0)
     if seed >= 2 ** 64:
-        raise ValueError(f"seed must fit in 64 unsigned bits, got {seed}")
+        raise ValueError(f"{name} must fit in 64 unsigned bits, got {seed}")
     return np.uint64(seed)
 
 
@@ -276,9 +277,8 @@ def poisson_stream(seed: int, start: int, count: int, mean: float) -> np.ndarray
 
 def substream(seed: int, stream: int) -> int:
     """Derive an independent stream seed from (seed, stream index)."""
-    s = check_seed(seed)
-    stream = require_count("stream", stream, 0)
+    s, stream = check_seed(seed), check_seed(stream, "stream")
     with np.errstate(over="ignore"):
-        salted = (s + np.uint64(1)) * _STREAM_SALT + np.uint64(stream) * _GAMMA
+        salted = (s + np.uint64(1)) * _STREAM_SALT + stream * _GAMMA
         x = np.atleast_1d(salted)
         return int(_mix64(x, np.empty_like(x))[0])

@@ -11,8 +11,10 @@ nodes and form the payoff terms (below the strike, the weights alone), and
 each ends where a double sum can no longer see them: 9,608 of the 1,000,001
 nodes at 10^6 steps, in plain `math`, with no numpy or scipy. Node k is e^x,
 x = (2k-n)*vol*sqrt(t/n) - r*t, in forward units as in bslab.montecarlo, against
-kappa = strike*e^{-r*t}/spot: a martingale, so no term passes the sum of the
-weights and no factor follows the sums; a price under about 5e-324 of spot is 0.
+kappa = strike*e^{-r*t}/spot (pricing.forward_strike): a martingale, so no term
+passes the sum of the weights, and their ratio, capped at 1 against the rounding
+of p, times spot is the price, so no price passes spot; a price under about
+5e-324 of spot is 0.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import sys
 from array import array
 from dataclasses import dataclass
 
-from .pricing import (OptionSpec, PriceResult, d_plus_minus, degenerate_result,
-                      discount_factor, require_count)
+from .pricing import (OptionSpec, PriceResult, d_plus_minus, degenerate_result, forward_strike,
+                      require_count)
 
 
 # most lattice steps: 10**9 weigh about 300K nodes (3.5 MiB, 0.12 s on a Xeon
@@ -118,11 +120,12 @@ def crr_tree_price(spec: OptionSpec, cfg: TreeConfig) -> PriceResult:
     """Price a European call on a recombining binomial tree.
 
     Returns spot * sum_k C(n,k) p^k (1-p)^{n-k} max(e^x_k - kappa, 0) in the module's forward
-    units, with kappa carried to twice the precision as kappa + kappa_lo, and each e^x_k computed
-    directly (its term in logs past the largest double). A loop upward from the mode gathers the
-    weights and the in-the-money terms until both fall past `_CUT`, one downward until the weight
-    does, and `math.fsum` rounds each sum correctly. A vol*sqrt(t/n) that is zero (or underflows
-    to it) is a single deterministic path: the deterministic-limit price.
+    units, the sum capped at 1, with kappa carried to twice the precision as kappa + kappa_lo,
+    and each e^x_k computed directly (its term in logs past the largest double). A loop upward
+    from the mode gathers the weights and the in-the-money terms until both fall past `_CUT`,
+    one downward until the weight does, and `math.fsum` rounds each sum correctly. A
+    vol*sqrt(t/n) that is zero (or underflows to it) is a single deterministic path: the
+    deterministic-limit price.
     """
     n = cfg.steps
     dt = spec.expiry / n
@@ -143,14 +146,9 @@ def crr_tree_price(spec: OptionSpec, cfg: TreeConfig) -> PriceResult:
             f"is not within +-vol*sqrt(expiry/steps) = +-{step_vol:.6g} "
             + _more_steps(spec, n, spec.rate / spec.volatility, True))
 
-    rate_t, strike = spec.rate * spec.expiry, spec.strike * discount_factor(spec)
-    kappa, exp, inf = strike / spec.spot, math.exp, math.inf
+    rate_t, (kappa, kappa_lo) = spec.rate * spec.expiry, forward_strike(spec)
+    exp, inf = math.exp, math.inf
     log_kappa = math.log(spec.strike) - rate_t - math.log(spec.spot)
-    # kappa_lo = strike/spot - kappa, exact in integers (0 if kappa overflows), so that
-    # a node within rounding of the strike weighs its true excess
-    (a, b), (c, d) = strike.as_integer_ratio(), spec.spot.as_integer_ratio()
-    g, h = kappa.as_integer_ratio() if kappa < inf else (a * d, b * c)
-    kappa_lo = (a * d * h - g * b * c) / (b * c * h)
     tiny = sys.float_info.min
     mode, odds = min(n, int((n + 1) * p)), p / (1.0 - p)  # as in binomial_weights
     weights, terms = array("d"), array("d")
@@ -203,9 +201,8 @@ def crr_tree_price(spec: OptionSpec, cfg: TreeConfig) -> PriceResult:
                 terms.append(w * excess)
         if w < _CUT:
             break
-    price = spec.spot * (math.fsum(terms) / math.fsum(weights))
-    if price == math.inf:  # spot near the largest double, and the ratio rounded above 1
-        raise ValueError(f"the lattice price passes the largest double at spot={spec.spot}")
+    # a martingale's ratio is at most 1 (a call is worth at most spot) but for the rounding of p
+    price = spec.spot * min(math.fsum(terms) / math.fsum(weights), 1.0)
 
     dp, dm = d_plus_minus(spec)
     u = math.exp(step_vol)

@@ -77,7 +77,8 @@ def full_window_price(spec: OptionSpec, n: int) -> float:
     payoff sum sees them); spec must have positive vol*sqrt(t). A node is e^x,
     x = (2k-n)*vol*sqrt(t/n) - r*t, against kappa = strike*e^{-r*t}/spot, held
     to twice the precision as kappa + kappa_lo, so that no term passes the sum
-    of the weights."""
+    of the weights; their ratio is capped at 1, which only the rounding of p
+    passes, as in the cut walk."""
     dt = spec.expiry / n
     step_vol = spec.volatility * math.sqrt(dt)
     rate_dt = spec.rate * dt
@@ -99,4 +100,4 @@ def full_window_price(spec: OptionSpec, n: int) -> float:
             break
         in_the_money.append(weights[k - lo] * excess)
     in_the_money.extend(_terms_above(spec, n, step_vol, p, lo + len(weights) - 1, weights[-1]))
-    return spec.spot * (_exact_sum(in_the_money) / _exact_sum(weights))
+    return spec.spot * min(_exact_sum(in_the_money) / _exact_sum(weights), 1.0)

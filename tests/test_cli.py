@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from bslab.cli import RunConfig, UsageError, execute, main, parse_args
+from bslab.cli import COMMANDS, RunConfig, UsageError, execute, main, parse_args
 from bslab.increments import KINDS, IncrementModel
 from bslab.pricing import OptionSpec, PriceResult
 
@@ -32,7 +32,7 @@ class TestParseArgs:
     def test_worked_example(self):
         cfg = parse_args(PRICE_ARGS)
         assert cfg.command == "price"
-        assert cfg.option_spec == OptionSpec(50.0, 52.0, 0.04, 1.0, 0.15)
+        assert cfg.objects == {"option_spec": OptionSpec(50.0, 52.0, 0.04, 1.0, 0.15)}
         assert cfg.output_format == "text" and cfg.output_path is None
 
     def test_empty_argv_lists_commands(self):
@@ -46,11 +46,12 @@ class TestParseArgs:
         cfg = parse_args(["clt-demo", "--model", "poisson_jump", "--jump-size", "1",
                           "--intensity", "2", "--samples", "1000", "--seed", "9",
                           "--n-ladder", "4,16,64", "--epsilon", "0.02", "--format", "csv"])
-        assert cfg.model == IncrementModel.poisson_jump(1.0, 2.0)
+        assert cfg.objects["model"] == IncrementModel.poisson_jump(1.0, 2.0)
+        assert cfg.objects["n_ladder"] == (4, 16, 64) and cfg.objects["epsilon"] == 0.02
         cfg = parse_args(["var-linearity", "--model", "uniform", "--variance", "0.0225",
                           "--samples", "500", "--seed", "3"])
-        assert (cfg.model, cfg.samples, cfg.seed, cfg.horizons) == (
-            IncrementModel("uniform", 0.0225), 500, 3, (0.25, 0.5, 1.0, 2.0))
+        assert cfg.objects == {"samples": 500, "model": IncrementModel("uniform", 0.0225),
+                               "seed": 3, "horizons": (0.25, 0.5, 1.0, 2.0)}
 
     def test_unknown_flag_is_named(self):
         with pytest.raises(UsageError, match="--bogus"):
@@ -138,14 +139,14 @@ class TestConfigFile:
         path.write_text("spot=50\nstrike=52\nrate=0.04\n# comment\nexpiry=1\nvol=0.15\n",
                         encoding="utf-8")
         cfg = parse_args(["price", "--config", str(path)])
-        assert cfg.option_spec == OptionSpec(50.0, 52.0, 0.04, 1.0, 0.15)
+        assert cfg.objects["option_spec"] == OptionSpec(50.0, 52.0, 0.04, 1.0, 0.15)
 
     def test_command_line_beats_config(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("spot=50\nstrike=52\nrate=0.04\nexpiry=1\nvol=0.15\nformat=json\n",
                         encoding="utf-8")
         cfg = parse_args(["price", "--config", str(path), "--strike", "60"])
-        assert cfg.option_spec.strike == 60.0
+        assert cfg.objects["option_spec"].strike == 60.0
         assert cfg.output_format == "json"
 
     def test_malformed_line_is_reported(self, tmp_path):
@@ -532,6 +533,29 @@ class TestCommandTable:
         assert err.startswith(f"bslab {argv[0]}: ") and named in err
         assert "numerical failure" not in err
 
+    @pytest.mark.parametrize("method", [["price"], ["tree", "--steps", "10000"],
+                                        ["mc", "--paths", "1000", "--seed", "1"]])
+    def test_every_pricer_prices_a_vanishing_expiry_at_its_limit(self, method, capsys):
+        # with no spread Monte Carlo's payoff is spot*(1 - kappa) for a rounded
+        # kappa, 2.0000000000000018 here; it subtracts kappa_lo too, as the lattice does
+        assert main([method[0], "--spot", "50", "--strike", "48", "--rate", "0.04",
+                     "--expiry", "1e-300", "--vol", "0.15", *method[1:], "--format", "json"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and json.loads(out)["results"]["price"] == 2.0
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    @pytest.mark.parametrize("command", ["lindeberg", "clt-demo"])
+    def test_normal_tail_past_half_the_largest_double_is_empty(self, command, fmt, capsys):
+        # v*2 overflowed to inf for a cell variance past 9e307, and inf*0 printed
+        # lindeberg = nan with exit 0 (json exited 2 on the NaN)
+        assert main([command, "--model", "normal", "--variance", "1e308", "--horizon", "1",
+                     "--n-ladder", "1", "--epsilon", "1e300", "--samples", "1000",
+                     "--seed", "5", "--format", fmt]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and "nan" not in out
+        if fmt == "json":
+            assert json.loads(out)["rows"][0]["lindeberg"] == 0.0
+
     @pytest.mark.parametrize("strike, price", [("52", 0.0), ("48", 2.0)])
     def test_lattice_with_steps_shorter_than_an_ulp_prices_the_limit(self, strike, price,
                                                                      capsys):
@@ -566,10 +590,35 @@ class TestCommandTable:
         closed = json.loads(capsys.readouterr().out)["results"]["price"]
         price = json.loads(out)["results"]["price"]
         # a float step probability keeps the lattice a martingale to rounding only, so
-        # the bounds take the lattice slack of the bounds sweep, 1e-9 of spot
+        # the lower bound takes the lattice slack of the bounds sweep, 1e-9 of spot;
+        # the price is capped at spot
         lower = 1e308 - float(strike) * math.exp(-float(rate))
-        assert err == "" and lower - 1e-9 * 1e308 <= price <= 1e308 * (1.0 + 1e-9)
+        assert err == "" and lower - 1e-9 * 1e308 <= price <= 1e308
         assert abs(price - closed) <= 1e-4 * closed
+
+    @pytest.mark.parametrize("spot, strike, rate, expiry, vol, steps", [
+        ("1.7976931348623157e308", "1", "0.05", "1", "1", "3"),
+        ("0.03068986529616829", "0.04330445855976561", "0.055475760679968136",
+         "6.470556622092849", "8.584947365834088", "3509")],
+        ids=["largest_double", "coarse_deep_in_the_money"])
+    def test_lattice_price_rounding_past_spot_is_spot(self, spot, strike, rate, expiry, vol,
+                                                      steps, capsys):
+        # the float step probability lifts the lattice's sum ratio past 1 here, which
+        # took the first contract past the largest double (exit 2); capped, both price
+        # at spot, as the closed form does
+        inputs = ["--spot", spot, "--strike", strike, "--rate", rate, "--expiry", expiry,
+                  "--vol", vol, "--format", "json"]
+        assert main(["tree", *inputs, "--steps", steps]) == 0
+        out, err = capsys.readouterr()
+        assert main(["price", *inputs]) == 0
+        closed = json.loads(capsys.readouterr().out)["results"]["price"]
+        assert err == "" and json.loads(out)["results"]["price"] == closed == float(spot)
+
+    def test_run_step_takes_only_its_own_commands_objects(self):
+        # a build step and its run step meet in one signature, so objects built
+        # for another command fail at once
+        with pytest.raises(TypeError, match="tree_config"):
+            COMMANDS["tree"].run(**parse_args(PRICE_ARGS).objects)
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("spot, rate, vol, steps", [

@@ -33,10 +33,11 @@ GOLDEN = {
     # inside each node, and the price from 3.0075704318988503 to 3.00757043189885
     "tree": (["tree", *OPTION, "--vol", "0.15", "--steps", "10000"],
              "347fdff18b1115c624e01d717e0da393a7733262d2ab12ef9a3e2f57eb0e187a"),
-    # paths in forward units, scaled by spot once: the last digits of price
-    # moved (3.0122636161528513 -> 3.0122636161528518)
+    # each payoff subtracts kappa_lo, the rounded-off rest of the forward strike,
+    # too: price 3.0122636161528518 -> 3.012263616152851, std_error
+    # 0.004804665292930579 -> 0.004804665292930578
     "mc": (["mc", *OPTION, "--vol", "0.15", "--paths", "1000000", "--seed", "42"],
-           "3b76d45440e6db5dd1e1882645d9a98585911da1b83e4073208d99893a3c8414"),
+           "595c1c1a7f9a583351c5b616cff85e1e0f4f280a2f8425b3c9e94a59c5e3443c"),
     "clt_demo_two_point": (
         ["clt-demo", "--model", "two_point", "--variance", "0.0225", *LADDER],
         "a92ffa26ccc44981b6da1e9e7ac6e3fdbc7ed5b1ebec70d4ca79165827e16241"),
@@ -59,11 +60,11 @@ GOLDEN = {
     "mc_zero_volatility": (
         ["mc", *OPTION, "--vol", "0", "--paths", "1000000", "--seed", "42"],
         "1d4a92275811f97dc23af2b5fcf1de9aef4c4552b4bd021e3652e0d41504407b"),
-    # forward units: price 2.991917606835091 -> 2.991917606835092, std_error
-    # 0.010782923294793982 -> 0.010782923294793986
+    # payoffs subtract kappa_lo too: price 2.991917606835092 -> 2.991917606835091,
+    # std_error 0.010782923294793986 -> 0.01078292329479398
     "mc_196625_paths": (
         ["mc", *OPTION, "--vol", "0.15", "--paths", "196625", "--seed", "42"],
-        "ba382d07f94436c4065157a04042b2e36699a01254f86a2aeae6c2ce1d6d99b9"),
+        "5fb74394bec22e8cf4e69c196fc1243e6eeac602c0022f07cf0dd29fc76755ff"),
     # the lindeberg column is the closed-form tail, no longer the Monte Carlo
     # estimate (0.022327463458216273 -> 0.022417887961715257 at n = 16), and
     # the lindeberg_source diagnostic is gone
@@ -162,7 +163,7 @@ DIGESTS = {
 def _report_digests(name: str) -> dict:
     """sha256 of the command's report in each format, from one run."""
     cfg = parse_args(ARGV[name])
-    report = {"command": cfg.command, **COMMANDS[cfg.command].run(cfg)}
+    report = {"command": cfg.command, **COMMANDS[cfg.command].run(**cfg.objects)}
     return {fmt: hashlib.sha256(render(report).encode("utf-8")).hexdigest()
             for fmt, render in FORMATS.items()}
 

@@ -133,6 +133,14 @@ def test_substream_derivation():
     assert 0 <= substream(42, 3) < 2 ** 64
 
 
+@pytest.mark.parametrize("bad", [-1, 2 ** 64, 1.5])
+def test_substream_names_a_stream_index_outside_64_bits(bad):
+    # past 2**64 numpy's uint64 conversion raised OverflowError, naming nothing
+    with pytest.raises(ValueError, match="stream"):
+        substream(42, bad)
+    assert substream(42, 2 ** 64 - 1) != substream(42, 0)
+
+
 @pytest.mark.parametrize("bad", [-1, 2 ** 64, 1.5, "x"])
 def test_seed_validation(bad):
     with pytest.raises(ValueError):
