@@ -22,7 +22,7 @@ _EXPORTS = {
     "pricing": ("NormalParams", "OptionSpec", "PriceResult", "bs_call_price", "d_plus_minus",
                 "intrinsic_forward_value", "lognormal_call_expectation", "lognormal_h_plus_minus"),
     "rng": ("normal_stream", "poisson_stream", "substream", "uniform_stream"),
-    "tree": ("TreeConfig", "TreeParameterizationError", "crr_tree_price"),
+    "tree": ("TreeConfig", "crr_tree_price"),
 }
 # exported name -> the submodule that defines it
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -13,7 +13,8 @@ signature. Steps import the domain modules they use when they run, so
 experiments through those modules, so a tracer that rebinds a function in
 its home module sees every call.
 
-Exit codes: 0 success, 1 usage error, 2 numerical/convergence error.
+Exit codes: 0 success, 1 usage error, 2 numerical/convergence error: a
+ValueError, a NaN in the report included, that execute prints as one line.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from . import pricing
-from .reports import render_csv, render_json, render_text
+from .reports import holds_nan, render_csv, render_json, render_text
 
 FORMATS = {"json": render_json, "csv": render_csv, "text": render_text}
 
@@ -281,6 +282,8 @@ def execute(cfg: RunConfig, out=None) -> int:
     """Run a validated config, emit its report, return the exit code."""
     try:
         report = {"command": cfg.command, **COMMANDS[cfg.command].run(**cfg.objects)}
+        if holds_nan(report):  # in every format: no report carries a NaN as a number
+            raise ValueError("the report holds a NaN")
         text = FORMATS[cfg.output_format](report)
     except (ValueError, RuntimeError) as exc:
         print(f"bslab {cfg.command}: {exc}", file=sys.stderr)

@@ -146,14 +146,15 @@ def lindeberg_statistic(model: IncrementModel, n: int, horizon: float, epsilon: 
     """n * E[Z^2; |Z| > epsilon] for one cell Z of a size-n row.
 
     Under stationarity this single-cell form equals the full row sum of
-    truncated second moments. The analytic value comes from the model's
-    closed-form tail; the Monte Carlo estimate beside it checks it. Draws are
-    reduced by rng.block_mean_m2 (as in mc_price), block by block on the
-    calling thread and one helper, so memory does not grow with samples
-    and the bits never depend on one thread or two.
+    truncated second moments. The analytic value is the model's closed-form
+    tail, checked by a Monte Carlo estimate reduced by rng.block_mean_m2 (as
+    in mc_price) on the calling thread and one helper: memory does not grow
+    with samples, and the bits never depend on one thread or two. A row
+    variance, estimate or standard error not finite in doubles is a ValueError.
     """
     (n,) = check_ladder((n,), horizon, epsilon)
     require_count("samples", samples, VARIANCE_MIN_SAMPLES)
+    model.variance(horizon)  # the row variance, checked as run_convergence_experiment does
     h = horizon / n
 
     def tail_squares(lo: int, hi: int) -> np.ndarray:
@@ -161,9 +162,12 @@ def lindeberg_statistic(model: IncrementModel, n: int, horizon: float, epsilon: 
         z *= np.abs(z) > epsilon  # zeroed before squaring: no inf * 0 where z^2 overflows
         return np.multiply(z, z, out=z)
 
-    mean, m2 = block_mean_m2(tail_squares, samples)
+    with np.errstate(over="ignore", invalid="ignore"):  # past ~1e154 M2 overflows: refused below
+        mean, m2 = block_mean_m2(tail_squares, samples)
     estimate = n * mean
     std_error = n * math.sqrt(m2 / (samples - 1)) / math.sqrt(samples)
+    if not (estimate < math.inf and std_error < math.inf):
+        raise ValueError(f"the Lindeberg estimate {estimate} +- {std_error} at n={n} is not finite")
     return LindebergResult(estimate=estimate, std_error=std_error,
                            analytic=n * model.lindeberg_tail(h, epsilon))
 

@@ -52,7 +52,7 @@ def mc_price(spec: OptionSpec, cfg: McConfig) -> PriceResult:
     volatility is a point mass: its exact value, with std_error 0.
     """
     if spec.vol_sqrt_t == 0.0:
-        return degenerate_result(spec, "monte_carlo", std_error=0.0, detail={"degenerate": True})
+        return degenerate_result(spec, "monte_carlo", std_error=0.0)
 
     kappa, kappa_lo = forward_strike(spec)
 

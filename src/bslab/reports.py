@@ -1,11 +1,11 @@
 """Canonical report rendering: JSON, CSV and plain text.
 
-JSON uses sorted keys and Python's shortest round-trip float repr, so
-parsing an emitted report and re-emitting it is byte-identical. A NaN, which
-JSON has no form for, is an error; the infinite d+- of a zero-volatility
-price are written as Infinity, which Python's json reads back. CSV uses
-fixed 12-decimal notation with a '.' decimal point; text is for humans and
-carries the same numbers in %.12g.
+The renderers only render: cli.execute refuses a report that holds_nan
+before any of them runs. JSON uses sorted keys and shortest round-trip
+floats, so re-emitting a parsed report is byte-identical; the infinite d+-
+of a zero-volatility price are written as Infinity, which Python's json
+reads back. CSV uses fixed 12-decimal notation with a '.' decimal point;
+text is for humans and carries the same numbers in %.12g.
 """
 
 from __future__ import annotations
@@ -16,17 +16,15 @@ import csv
 import math
 
 
-def _holds_nan(value) -> bool:
+def holds_nan(value) -> bool:
     if isinstance(value, dict):
-        return any(_holds_nan(v) for v in value.values())
+        return any(holds_nan(v) for v in value.values())
     if isinstance(value, list):
-        return any(_holds_nan(v) for v in value)
+        return any(holds_nan(v) for v in value)
     return isinstance(value, float) and math.isnan(value)
 
 
 def render_json(report: dict) -> str:
-    if _holds_nan(report):
-        raise ValueError("the report holds a NaN, which JSON cannot represent")
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 

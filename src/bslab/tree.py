@@ -49,10 +49,6 @@ class TreeConfig:
 MAX_STEP_VOL = 8.0
 
 
-class TreeParameterizationError(ValueError):
-    """The risk-neutral step probability left (0, 1); use more steps."""
-
-
 def _more_steps(spec: OptionSpec, n: int, ratio: float, strict: bool) -> str:
     """Names the inputs and the fewest steps m >= ratio^2 * expiry (m > it if strict)."""
     bound = ratio * ratio * spec.expiry
@@ -141,10 +137,9 @@ def crr_tree_price(spec: OptionSpec, cfg: TreeConfig) -> PriceResult:
     p = ((math.expm1(rate_dt) - math.expm1(-step_vol)) / (2.0 * math.sinh(step_vol))
          if abs(rate_dt) < step_vol else math.nan)
     if not 0.0 < p < 1.0:
-        raise TreeParameterizationError(
-            f"the risk-neutral step probability leaves (0, 1): rate*expiry/steps = {rate_dt:.6g} "
-            f"is not within +-vol*sqrt(expiry/steps) = +-{step_vol:.6g} "
-            + _more_steps(spec, n, spec.rate / spec.volatility, True))
+        raise ValueError(f"the risk-neutral step probability leaves (0, 1): rate*expiry/steps = "
+                         f"{rate_dt:.6g} is not within +-vol*sqrt(expiry/steps) = +-{step_vol:.6g} "
+                         + _more_steps(spec, n, spec.rate / spec.volatility, True))
 
     rate_t, (kappa, kappa_lo) = spec.rate * spec.expiry, forward_strike(spec)
     exp, inf = math.exp, math.inf

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import chain
 
 from bslab.pricing import OptionSpec
-from bslab.tree import TreeParameterizationError, binomial_weights
+from bslab.tree import binomial_weights
 
 
 def _exact_sum(values: array) -> float:
@@ -87,7 +87,7 @@ def full_window_price(spec: OptionSpec, n: int) -> float:
     p = ((math.expm1(rate_dt) - math.expm1(-step_vol)) / (2.0 * math.sinh(step_vol))
          if abs(rate_dt) < step_vol else math.nan)
     if not 0.0 < p < 1.0:
-        raise TreeParameterizationError(f"risk-neutral step probability {p!r} is outside (0, 1)")
+        raise ValueError(f"risk-neutral step probability {p!r} is outside (0, 1)")
 
     lo, weights = binomial_weights(n, p)
     rate_t = spec.rate * spec.expiry

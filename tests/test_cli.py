@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import csv
 import importlib
 import io
@@ -10,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bslab.cli import COMMANDS, RunConfig, UsageError, execute, main, parse_args
 from bslab.increments import KINDS, IncrementModel
@@ -17,6 +20,8 @@ from bslab.pricing import OptionSpec, PriceResult
 
 PRICE_ARGS = ["price", "--spot", "50", "--strike", "52", "--rate", "0.04",
               "--expiry", "1", "--vol", "0.15"]
+# a positive real, log-uniform over [1e-320, 1e308], as a flag value
+POSITIVE = st.floats(-320.0, 308.0).map(lambda e: repr(10.0 ** e))
 MC_ARGS = ["mc", "--spot", "50", "--strike", "52", "--rate", "0.04", "--expiry", "1",
            "--vol", "0.15", "--paths", "50000", "--seed", "42"]
 
@@ -426,13 +431,15 @@ class TestCommandTable:
         parse_args(["lindeberg", *model, "--samples", "2"])
         parse_args(["clt-demo", *model, "--samples", "100"])
 
-    def test_nan_report_exits_two_instead_of_emitting_json(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_nan_report_exits_two_instead_of_emitting_json(self, monkeypatch, fmt, capsys):
+        # refused before any renderer runs: text and csv printed "nan" with exit 0
         import bslab.pricing as pricing
         nan = PriceResult(price=math.nan, d_plus=0.0, d_minus=0.0, method="closed_form")
         monkeypatch.setattr(pricing, "bs_call_price", lambda spec: nan)
-        assert main(PRICE_ARGS + ["--format", "json"]) == 2
+        assert main(PRICE_ARGS + ["--format", fmt]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and "NaN" in err
+        assert out == "" and err.count("\n") == 1 and "NaN" in err
 
     @pytest.mark.parametrize("argv", [
         # the n=1000 cell variance underflows to 0
@@ -555,6 +562,56 @@ class TestCommandTable:
         assert err == "" and "nan" not in out
         if fmt == "json":
             assert json.loads(out)["rows"][0]["lindeberg"] == 0.0
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    @pytest.mark.parametrize("argv, named", [
+        # the squared deviations of z^2 overflow M2 past a cell variance of ~1e154
+        (["--model", "uniform", "--variance", "1e160", "--n-ladder", "1,4", "--epsilon", "1",
+          "--samples", "100", "--seed", "1"], "the Lindeberg estimate"),
+        (["--model", "centered_exponential", "--variance", "2", "--horizon", "1e300",
+          "--epsilon", "100", "--n-ladder", "1", "--samples", "2", "--seed", "0"],
+         "the Lindeberg estimate"),
+        # the row variance 1e308 * 10 overflows, as clt-demo refuses it
+        (["--model", "two_point", "--variance", "1e308", "--horizon", "10", "--n-ladder", "16",
+          "--epsilon", "1", "--samples", "10", "--seed", "1"],
+         "one increment's variance 1e+308 * 10.0 must be positive and finite, got inf"),
+    ], ids=["uniform_m2_overflow", "exponential_m2_overflow", "row_variance_overflow"])
+    def test_lindeberg_estimate_past_the_double_range_exits_two_with_one_line(
+            self, argv, named, fmt, capsys):
+        # these printed mc_std_error = nan (and lindeberg = inf) with exit 0 after a
+        # numpy overflow warning; warnings are errors here, so none may escape
+        assert main(["lindeberg", *argv, "--format", fmt]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and named in err
+        assert "Warning" not in err and "Traceback" not in err
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(command=st.sampled_from(["clt-demo", "lindeberg", "var-linearity"]),
+           kind=st.sampled_from(KINDS), reals=st.lists(POSITIVE, min_size=3, max_size=3),
+           horizons=st.lists(POSITIVE, min_size=3, max_size=4),
+           samples=st.sampled_from([2, 3, 100, 130]), seed=st.integers(0, 99),
+           ladder=st.sampled_from(["1", "16", "1,4", "2,16", "1,3,64"]),
+           fmt=st.sampled_from(["text", "csv", "json"]))
+    def test_every_model_run_reports_finite_numbers_or_names_its_failure(
+            self, command, kind, reals, horizons, samples, seed, ladder, fmt):
+        # variance (or jump size and intensity), horizon and epsilon, each log-uniform
+        # over the doubles; warnings are errors here, so a leaked numpy warning fails
+        first, second, third = reals
+        model = (["--jump-size", first, "--intensity", second] if kind == "poisson_jump"
+                 else ["--variance", first])
+        sizes = (["--horizons", ",".join(horizons)] if command == "var-linearity"
+                 else ["--horizon", second, "--epsilon", third, "--n-ladder", ladder])
+        argv = [command, "--model", kind, *model, "--samples", str(samples), "--seed", str(seed),
+                *sizes, "--format", fmt]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        message = err.getvalue()
+        if code == 0:
+            assert message == "" and "nan" not in out.getvalue().lower(), argv
+        else:
+            assert code in (1, 2) and message.count("\n") == 1, (argv, message)
+            assert "Warning" not in message and "Traceback" not in message, argv
 
     @pytest.mark.parametrize("strike, price", [("52", 0.0), ("48", 2.0)])
     def test_lattice_with_steps_shorter_than_an_ulp_prices_the_limit(self, strike, price,

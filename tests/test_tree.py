@@ -9,8 +9,7 @@ import pytest
 
 from bslab import tree
 from bslab.pricing import OptionSpec, bs_call_price, intrinsic_forward_value
-from bslab.tree import (MAX_STEP_VOL, TreeConfig, TreeParameterizationError, binomial_weights,
-                        crr_tree_price)
+from bslab.tree import MAX_STEP_VOL, TreeConfig, binomial_weights, crr_tree_price
 from full_window_tree import full_window_price
 
 EXAMPLE = OptionSpec(spot=50.0, strike=52.0, rate=0.04, expiry=1.0, volatility=0.15)
@@ -73,7 +72,8 @@ def test_probability_out_of_range_suggests_more_steps():
     # the drift per step 5/n is under the vol per step 0.15/sqrt(n) from
     # n = floor(5^2/0.15^2) + 1 = 1112
     for n in (1, 1111):
-        with pytest.raises(TreeParameterizationError, match="increase steps to at least 1112$"):
+        with pytest.raises(ValueError,
+                           match="risk-neutral step probability .* increase steps to at least 1112$"):
             crr_tree_price(crazy_rate, TreeConfig(steps=n))
     assert 0.0 < crr_tree_price(crazy_rate, TreeConfig(steps=1112)).price < crazy_rate.spot
 
@@ -323,8 +323,8 @@ def test_cut_walk_matches_the_full_window_over_a_sweep():
             continue
         try:
             reference = full_window_price(spec, n)
-        except TreeParameterizationError:  # exp(r*t/n) above u: both refuse
-            with pytest.raises(TreeParameterizationError):
+        except ValueError:  # exp(r*t/n) above u: both refuse
+            with pytest.raises(ValueError, match="risk-neutral step probability"):
                 crr_tree_price(spec, TreeConfig(n))
             continue
         price = crr_tree_price(spec, TreeConfig(n)).price
@@ -386,18 +386,19 @@ def lattice_sweep():
 def test_lattice_prices_keep_their_bits_over_a_seeded_sweep():
     # 2,000 contracts: bench-like ones at steps 1-10^6, lifted weights, spot-unit
     # nodes past the largest double (above the mode and below it), the mode at 0
-    # and at n, and inputs the lattice refuses. The digest is frozen: a price moves
-    # it when the walk weighs another set of nodes or a term changes its bits. No
-    # price passes spot, where 191 did by up to 7.2e-12 relative before the cap
+    # and at n, and inputs the lattice refuses, each by its message (27 drift and 5
+    # discounted-strike refusals). The digest is frozen: a price moves it when the
+    # walk weighs another set of nodes or a term changes its bits. No price passes
+    # spot, where 191 did by up to 7.2e-12 relative before the cap
     outcomes = []
     for spec, n in lattice_sweep():
         try:
             price = crr_tree_price(spec, TreeConfig(n)).price
         except ValueError as exc:
-            outcomes.append(type(exc).__name__)
+            outcomes.append(str(exc))
         else:
             assert price <= spec.spot, (spec, n)
             outcomes.append(repr(price))
     assert len(outcomes) == 2000
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
-    assert digest == "c738e6a23a6506220a189c50403916341b6ed3413ec05fd3965cb3adbf5ce4ee"
+    assert digest == "81d5cc212029435defbcdfdb2d7f6ae4204cd1fd2692520f0c4539c46a811094"
