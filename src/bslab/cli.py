@@ -8,10 +8,12 @@ option names, '#' starts a comment) and explicit flags win over it.
 Each subcommand is one COMMANDS entry: flag groups, a build step making
 its domain objects, keyed by name, and a run step taking those objects as
 its parameters and returning its report, so the two steps meet in one
-signature. Steps import the domain modules they use when they run, so
-`price` and `tree` load neither numpy nor scipy, and call the pricers and
-experiments through those modules, so a tracer that rebinds a function in
-its home module sees every call.
+signature. A price report forms the contract's closed-form d+- itself and
+names the method, so a pricer returns only what it computed. Steps import
+the domain modules they use when they run, so `price` and `tree` load
+neither numpy nor scipy, and call the pricers and experiments through
+those modules, so a tracer that rebinds a function in its home module sees
+every call.
 
 Exit codes: 0 success, 1 usage error, 2 numerical/convergence error: a
 ValueError, a NaN in the report included, that execute prints as one line.
@@ -127,25 +129,27 @@ def _build_var_linearity(a) -> dict:
 
 
 # run steps: built objects -> report sections (inputs, results, diagnostics, rows)
-def _price_report(spec: pricing.OptionSpec, result: pricing.PriceResult, **inputs) -> dict:
-    results = {"price": result.price, "d_plus": result.d_plus, "d_minus": result.d_minus}
+def _price_report(spec: pricing.OptionSpec, result: pricing.PriceResult, method: str,
+                  **inputs) -> dict:
+    d_plus, d_minus = pricing.d_plus_minus(spec)
+    results = {"price": result.price, "d_plus": d_plus, "d_minus": d_minus}
     if result.std_error is not None:
         results["std_error"] = result.std_error
     return {"inputs": {"spot": spec.spot, "strike": spec.strike, "rate": spec.rate,
                        "expiry": spec.expiry, "vol": spec.volatility, **inputs},
-            "results": results, "diagnostics": {"method": result.method}}
+            "results": results, "diagnostics": {"method": method}}
 
 
 def _mc_report(option_spec: pricing.OptionSpec, mc_config) -> dict:
     from . import montecarlo
-    return _price_report(option_spec, montecarlo.mc_price(option_spec, mc_config),
+    return _price_report(option_spec, montecarlo.mc_price(option_spec, mc_config), "monte_carlo",
                          paths=mc_config.paths, seed=mc_config.seed)
 
 
 def _tree_report(option_spec: pricing.OptionSpec, tree_config) -> dict:
     from . import tree
     result = tree.crr_tree_price(option_spec, tree_config)
-    report = _price_report(option_spec, result, steps=tree_config.steps)
+    report = _price_report(option_spec, result, "tree", steps=tree_config.steps)
     report["diagnostics"].update(result.detail)
     return report
 
@@ -197,8 +201,8 @@ def _var_linearity_report(model, samples: int, seed: int, horizons: tuple[float,
 Command = namedtuple("Command", "help groups build run")
 COMMANDS = {
     "price": Command("closed-form call price", (_OPTION,), _build_option,
-                     lambda option_spec: _price_report(option_spec,
-                                                       pricing.bs_call_price(option_spec))),
+                     lambda option_spec: _price_report(
+                         option_spec, pricing.bs_call_price(option_spec), "closed_form")),
     "mc": Command("Monte Carlo call price", (_OPTION, _PATHS), _build_mc, _mc_report),
     "tree": Command("binomial-tree call price", (_OPTION, _STEPS), _build_tree, _tree_report),
     "clt-demo": Command("row-sum normality experiment over an n ladder", (_MODEL, _LADDER),

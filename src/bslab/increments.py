@@ -123,7 +123,7 @@ class IncrementModel:
         a = self.jump_size
         mu = self.intensity * h
         total = 0.0
-        for k, p in enumerate(poisson_law(mu)[0]):
+        for k, p in enumerate(poisson_law(self.intensity, h)[0]):
             z = a * (k - mu)
             if abs(z) > epsilon:
                 total += z * z * p
@@ -140,7 +140,7 @@ class IncrementModel:
         s = math.sqrt(self.variance(h))
         if self.kind == "poisson_jump":
             mu = self.intensity * h
-            counts = poisson_stream(seed, start, count, mu)
+            counts = poisson_stream(seed, start, count, self.intensity, h)
             counts -= mu
             counts *= self.jump_size
             return counts

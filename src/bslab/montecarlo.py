@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pricing import (OptionSpec, PriceResult, d_plus_minus, degenerate_result, forward_strike,
+from .pricing import (OptionSpec, PriceResult, forward_strike, intrinsic_forward_value,
                       require_count)
 from .rng import block_mean_m2, check_seed, map_blocks, normal_stream
 
@@ -52,7 +52,7 @@ def mc_price(spec: OptionSpec, cfg: McConfig) -> PriceResult:
     volatility is a point mass: its exact value, with std_error 0.
     """
     if spec.vol_sqrt_t == 0.0:
-        return degenerate_result(spec, "monte_carlo", std_error=0.0)
+        return PriceResult(intrinsic_forward_value(spec), std_error=0.0)
 
     kappa, kappa_lo = forward_strike(spec)
 
@@ -67,9 +67,7 @@ def mc_price(spec: OptionSpec, cfg: McConfig) -> PriceResult:
     std_error = spec.spot * (math.sqrt(m2 / (cfg.paths - 1)) / math.sqrt(cfg.paths))
     if not (estimate < math.inf and std_error < math.inf):
         raise ValueError(f"the Monte Carlo estimate {estimate} +- {std_error} is not finite")
-    dp, dm = d_plus_minus(spec)
-    return PriceResult(price=estimate, d_plus=dp, d_minus=dm, method="monte_carlo",
-                       std_error=std_error)
+    return PriceResult(estimate, std_error=std_error)
 
 
 def mc_forward_check(spec: OptionSpec, cfg: McConfig) -> float:

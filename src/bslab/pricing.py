@@ -8,6 +8,8 @@ max(spot - strike*exp(-rate*expiry), 0); so it is when volatility*sqrt(expiry)
 is so small that d+- overflow. A discounted strike past the largest double
 fails in one line that names strike, rate and expiry.
 
+A PriceResult holds only what its pricer computed; d+- belong to the
+contract's limit law, and a report takes them from d_plus_minus(spec).
 bs_call_price is the hot path (a PriceResult per contract), so it takes
 volatility*sqrt(expiry) once and hands it to the one d+- helper, and
 PriceResult's __init__ writes its checked fields straight into the instance
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 
 from .normal import norm_cdf
 
-_METHODS = ("closed_form", "tree", "monte_carlo")
 _NORMAL_MIN = 2.0 ** -1022  # the smallest normal double
 _INF = math.inf  # one global lookup on the closed-form path, where math.inf takes two
 
@@ -109,22 +110,17 @@ class NormalParams:
 
 @dataclass(frozen=True, init=False)
 class PriceResult:
-    """A price plus diagnostics; std_error only for stochastic methods.
+    """A price, with std_error from Monte Carlo and detail from the lattice.
 
     A frozen dataclass with a written-out __init__ (see the module docstring).
     """
 
     price: float
-    d_plus: float
-    d_minus: float
-    method: str
     std_error: float | None = None
     detail: dict | None = None
 
-    def __init__(self, price: float, d_plus: float, d_minus: float, method: str,
-                 std_error: float | None = None, detail: dict | None = None) -> None:
-        if method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
+    def __init__(self, price: float, std_error: float | None = None,
+                 detail: dict | None = None) -> None:
         if price < 0.0:
             raise ValueError(f"price must be nonnegative, got {price}")
         if std_error is not None and std_error < 0.0:
@@ -132,9 +128,6 @@ class PriceResult:
         # item stores into the instance's own dict skip the frozen __setattr__
         fields = self.__dict__
         fields["price"] = price
-        fields["d_plus"] = d_plus
-        fields["d_minus"] = d_minus
-        fields["method"] = method
         fields["std_error"] = std_error
         fields["detail"] = detail
 
@@ -192,15 +185,6 @@ def intrinsic_forward_value(spec: OptionSpec) -> float:
     return max(spec.spot - spec.strike * discount_factor(spec), 0.0)
 
 
-def degenerate_result(spec: OptionSpec, method: str, **fields) -> PriceResult:
-    """Every pricer's result when volatility*sqrt(expiry) is zero (and the
-    closed form's when d+- are at their limit): the deterministic-limit
-    price, with d+- from d_plus_minus."""
-    dp, dm = d_plus_minus(spec)
-    return PriceResult(price=intrinsic_forward_value(spec), d_plus=dp, d_minus=dm, method=method,
-                       **fields)
-
-
 def bs_call_price(spec: OptionSpec) -> PriceResult:
     """Closed-form call price; the deterministic limit when d+- are at theirs
     (volatility*sqrt(expiry) zero, or too small for m/s to be finite)."""
@@ -209,8 +193,8 @@ def bs_call_price(spec: OptionSpec) -> PriceResult:
     if s and -_INF < dm and dp < _INF:  # d+- finite: not at their limit
         raw = spec.spot * norm_cdf(dp) - spec.strike * discount_factor(spec) * norm_cdf(dm)
         # deep out-of-the-money rounding can leave a tiny negative difference
-        return PriceResult(raw if raw > 0.0 else 0.0, dp, dm, "closed_form")
-    return degenerate_result(spec, "closed_form")
+        return PriceResult(raw if raw > 0.0 else 0.0)
+    return PriceResult(intrinsic_forward_value(spec))
 
 
 def lognormal_h_plus_minus(params: NormalParams, threshold: float) -> tuple[float, float]:

@@ -224,13 +224,15 @@ def normal_stream(seed: int, start: int, count: int) -> np.ndarray:
     return ndtri(u, out=u)
 
 
-def poisson_law(mean: float) -> tuple[list[float], list[float]]:
-    """pmf and cdf of Poisson(mean) at k = 0, 1, ..., by p(k) = p(k-1) * (mean/k)
+def poisson_law(intensity: float, h: float = 1.0) -> tuple[list[float], list[float]]:
+    """pmf and cdf of Poisson(mean = intensity*h) at k = 0, 1, ..., by p(k) = p(k-1) * (mean/k)
     from exp(-mean). Past the mean the table ends once the cdf reaches 1.0 or the
     pmf is 0 (later entries add exact zeros), or at k = int(mean + 40*sqrt(mean) + 200).
     The mean must be in (0, 700), where exp(-mean) does not underflow."""
+    mean = intensity * h
     if not 0.0 < mean < 700.0:
-        raise ValueError(f"poisson mean must be in (0, 700), got {mean}")
+        raise ValueError(f"poisson mean must be in (0, 700), got {mean} "
+                         f"= intensity {intensity} * cell length h {h}")
     pmf = [math.exp(-mean)]
     cdf = [pmf[0]]
     cap = int(mean + 40.0 * math.sqrt(mean) + 200.0)
@@ -242,13 +244,14 @@ def poisson_law(mean: float) -> tuple[list[float], list[float]]:
     return pmf, cdf
 
 
-def poisson_stream(seed: int, start: int, count: int, mean: float) -> np.ndarray:
-    """Poisson(mean) draws by inverse transform, one uniform per index.
+def poisson_stream(seed: int, start: int, count: int, intensity: float,
+                   h: float = 1.0) -> np.ndarray:
+    """Poisson(intensity*h) draws by inverse transform, one uniform per index.
 
     Intended for small and moderate means (the loop runs to the largest
     sampled value); poisson_law refuses a mean outside (0, 700).
     """
-    _, cdf = poisson_law(mean)
+    _, cdf = poisson_law(intensity, h)
     u = uniform_stream(seed, start, count)
     # rounding can stop the cdf rising short of 1: ending it at 1.0 there ends every uniform
     cdf = cdf[:cdf.index(cdf[-1])] + [1.0]

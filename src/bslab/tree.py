@@ -24,7 +24,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 
-from .pricing import (OptionSpec, PriceResult, d_plus_minus, degenerate_result, forward_strike,
+from .pricing import (OptionSpec, PriceResult, forward_strike, intrinsic_forward_value,
                       require_count)
 
 
@@ -127,7 +127,7 @@ def crr_tree_price(spec: OptionSpec, cfg: TreeConfig) -> PriceResult:
     dt = spec.expiry / n
     step_vol = spec.volatility * math.sqrt(dt)
     if not step_vol:
-        return degenerate_result(spec, "tree", detail={"degenerate": True})
+        return PriceResult(intrinsic_forward_value(spec), detail={"degenerate": True})
     if step_vol > MAX_STEP_VOL:
         raise ValueError(f"the lattice is too coarse: vol*sqrt(expiry/steps) = {step_vol:.6g} "
                          f"passes {MAX_STEP_VOL} "
@@ -199,8 +199,7 @@ def crr_tree_price(spec: OptionSpec, cfg: TreeConfig) -> PriceResult:
     # a martingale's ratio is at most 1 (a call is worth at most spot) but for the rounding of p
     price = spec.spot * min(math.fsum(terms) / math.fsum(weights), 1.0)
 
-    dp, dm = d_plus_minus(spec)
     u = math.exp(step_vol)
     detail = {"terminal_nodes": n + 1, "up_factor": u, "down_factor": 1.0 / u,
               "prob_up": p}
-    return PriceResult(price=price, d_plus=dp, d_minus=dm, method="tree", detail=detail)
+    return PriceResult(price, detail=detail)

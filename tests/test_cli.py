@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from bslab.cli import COMMANDS, RunConfig, UsageError, execute, main, parse_args
 from bslab.increments import KINDS, IncrementModel
-from bslab.pricing import OptionSpec, PriceResult
+from bslab.pricing import OptionSpec, PriceResult, d_plus_minus
 
 PRICE_ARGS = ["price", "--spot", "50", "--strike", "52", "--rate", "0.04",
               "--expiry", "1", "--vol", "0.15"]
@@ -435,7 +436,7 @@ class TestCommandTable:
     def test_nan_report_exits_two_instead_of_emitting_json(self, monkeypatch, fmt, capsys):
         # refused before any renderer runs: text and csv printed "nan" with exit 0
         import bslab.pricing as pricing
-        nan = PriceResult(price=math.nan, d_plus=0.0, d_minus=0.0, method="closed_form")
+        nan = PriceResult(price=math.nan)
         monkeypatch.setattr(pricing, "bs_call_price", lambda spec: nan)
         assert main(PRICE_ARGS + ["--format", fmt]) == 2
         out, err = capsys.readouterr()
@@ -462,6 +463,20 @@ class TestCommandTable:
                      "--intensity", "-2", "--samples", "200", "--seed", "1"]) == 1
         err = capsys.readouterr().err
         assert "intensity must be positive" in err and "per_unit_variance" not in err
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    @pytest.mark.parametrize("argv, named", [
+        (["clt-demo", "--intensity", "800"], "intensity 800.0 * cell length h 1.0"),
+        (["lindeberg", "--intensity", "2", "--horizon", "400"],
+         "intensity 2.0 * cell length h 400.0")], ids=["clt_demo", "lindeberg"])
+    def test_poisson_cell_mean_out_of_range_names_its_inputs(self, argv, named, fmt, capsys):
+        # the cell mean intensity*h is past the Poisson table's range; the line
+        # gave only the mean, which no flag sets
+        assert main([*argv, "--model", "poisson_jump", "--jump-size", "1", "--samples", "100",
+                     "--seed", "1", "--n-ladder", "1", "--format", fmt]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert "poisson mean must be in (0, 700), got 800.0" in err and named in err
 
     @pytest.mark.parametrize("jump_size, got", [("1e200", "inf"), ("1e-200", "0.0")],
                              ids=["overflow", "underflow"])
@@ -549,6 +564,33 @@ class TestCommandTable:
                      "--expiry", "1e-300", "--vol", "0.15", *method[1:], "--format", "json"]) == 0
         out, err = capsys.readouterr()
         assert err == "" and json.loads(out)["results"]["price"] == 2.0
+
+    def test_the_three_pricers_report_the_closed_form_d_and_name_their_method(self, capsys):
+        # d+- belong to the contract, not to the pricer: every report carries
+        # d_plus_minus's bits, at the limits (read back from Infinity) and past
+        # the double range too
+        rnd = random.Random(2929)
+        contracts = [(50.0, 52.0, 0.04, 1.0, 0.0), (60.0, 52.0, 0.04, 1.0, 0.0),
+                     (60.0, 52.0, 0.04, 0.0, 0.15), (50.0, 50.0, 0.04, 0.0, 0.15),
+                     (100.0, 50.0, 0.0, 1.0, 1e-320), (25.0, 50.0, 0.0, 1.0, 1e-320),
+                     (1e308, 1e-308, 0.04, 1.0, 0.15), (1e-308, 1e308, 0.04, 1.0, 0.15)]
+        for _ in range(24):
+            spot = 10.0 ** rnd.uniform(-3.0, 3.0)
+            contracts.append((spot, spot * math.exp(rnd.uniform(-1.0, 1.0)),
+                              rnd.uniform(-0.05, 0.05), rnd.uniform(0.1, 2.0),
+                              rnd.uniform(0.1, 0.6)))
+        commands = {"price": ("closed_form", []), "tree": ("tree", ["--steps", "8"]),
+                    "mc": ("monte_carlo", ["--paths", "16", "--seed", "1"])}
+        for contract in contracts:
+            expected = [d.hex() for d in d_plus_minus(OptionSpec(*contract))]
+            flags = [f"--{name}={value!r}"
+                     for name, value in zip(("spot", "strike", "rate", "expiry", "vol"), contract)]
+            for command, (method, extra) in commands.items():
+                assert main([command, *flags, *extra, "--format", "json"]) == 0, (command, contract)
+                report = json.loads(capsys.readouterr().out)
+                results = report["results"]
+                assert [results["d_plus"].hex(), results["d_minus"].hex()] == expected, command
+                assert report["diagnostics"]["method"] == method
 
     @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
     @pytest.mark.parametrize("command", ["lindeberg", "clt-demo"])
@@ -832,3 +874,14 @@ class TestBenchmarkSurface:
                  if isinstance(node, ast.Attribute) and reads_bslab(node.value)}
         assert "run_convergence_experiment" in names
         assert names <= set(bslab.__all__), sorted(names - set(bslab.__all__))
+
+    @pytest.mark.parametrize("workload", ["PriceThreeWays", "CltLadder"])
+    def test_one_untimed_pass_of_each_workload_passes_its_checks(self, workload, monkeypatch):
+        # the library calls the benchmark times, at its sizes: a call it can no
+        # longer make, or an output its oracles refuse, fails here first
+        import bslab
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        bench = getattr(importlib.import_module("workloads"), workload)(1, bslab)
+        checks = bench.checks({name: op() for name, op in bench.ops(False)})
+        failed = [name for name, ok in checks if not ok]
+        assert checks and not failed, failed

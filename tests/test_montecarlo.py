@@ -45,7 +45,6 @@ def test_estimate_within_three_standard_errors():
     result = mc_price(EXAMPLE, McConfig(paths=1_000_000, seed=42))
     assert result.std_error > 0.0
     assert abs(result.price - closed) <= 3.0 * result.std_error
-    assert result.method == "monte_carlo"
 
 
 def test_forward_check_within_three_standard_errors():

@@ -108,8 +108,6 @@ class TestDPlusMinus:
                             (OptionSpec(50.0, 52.0, 0.04, 0.0, 0.15), -math.inf),
                             (OptionSpec(50.0, 50.0, 0.04, 0.0, 0.15), 0.0)):
             assert d_plus_minus(spec) == (limit, limit)
-            result = bs_call_price(spec)
-            assert (result.d_plus, result.d_minus) == (limit, limit)
         # the limit the finite formula tends to as vol shrinks
         dp, dm = d_plus_minus(OptionSpec(50.0, 52.0, 0.04, 1.0, 1e-12))
         assert dp > 1e8 and dm > 1e8
@@ -133,9 +131,7 @@ class TestDPlusMinus:
         for spot, limit in ((100.0, math.inf), (25.0, -math.inf)):
             spec = OptionSpec(spot, 50.0, 0.0, 1.0, 1e-320)
             assert d_plus_minus(spec) == (limit, limit)
-            result = bs_call_price(spec)
-            assert (result.d_plus, result.d_minus) == (limit, limit)
-            assert result.price == max(spot - 50.0, 0.0)
+            assert bs_call_price(spec).price == max(spot - 50.0, 0.0)
 
 
 class TestCallPrice:
@@ -143,7 +139,6 @@ class TestCallPrice:
         result = bs_call_price(EXAMPLE)
         assert result.price == pytest.approx(3.04, abs=0.05)
         assert result.price == pytest.approx(EXAMPLE_PRICE, abs=1e-8)
-        assert result.method == "closed_form"
         assert result.std_error is None
 
     def test_example_against_live_quadrature_oracle(self):
@@ -162,9 +157,9 @@ class TestCallPrice:
         result = bs_call_price(spec)
         assert result.price == max(50.0 - 52.0 * math.exp(-0.04), 0.0)
         assert result.price == intrinsic_forward_value(spec)
-        itm = bs_call_price(OptionSpec(60.0, 52.0, 0.04, 1.0, 0.0))
-        assert itm.price == 60.0 - 52.0 * math.exp(-0.04)
-        assert itm.d_plus == math.inf and itm.d_minus == math.inf
+        itm = OptionSpec(60.0, 52.0, 0.04, 1.0, 0.0)
+        assert bs_call_price(itm).price == 60.0 - 52.0 * math.exp(-0.04)
+        assert d_plus_minus(itm) == (math.inf, math.inf)
 
     def test_zero_expiry_is_payoff(self):
         assert bs_call_price(OptionSpec(60.0, 52.0, 0.04, 0.0, 0.15)).price == 8.0
@@ -223,8 +218,7 @@ class TestCallPrice:
                     and math.isfinite(dp) and math.isfinite(dm)):
                 continue
             expected = max(spot * norm_cdf(dp) - strike_pv * norm_cdf(dm), 0.0)
-            result = bs_call_price(spec)
-            assert (result.price, result.d_plus, result.d_minus) == (expected, dp, dm), spec
+            assert bs_call_price(spec).price == expected, spec
             assert d_plus_minus(spec) == (dp, dm)
             compared += 1
         assert compared > 15_000
@@ -354,15 +348,12 @@ class TestPipelineIdentity:
 
 class TestPriceResult:
     def test_is_a_frozen_dataclass_with_the_same_fields(self):
-        result = PriceResult(1.5, 0.25, 0.125, "tree", detail={"steps": 4})
+        result = PriceResult(1.5, detail={"terminal_nodes": 5})
         assert dataclasses.is_dataclass(result)
         assert [(f.name, f.default) for f in dataclasses.fields(PriceResult)] == [
-            ("price", dataclasses.MISSING), ("d_plus", dataclasses.MISSING),
-            ("d_minus", dataclasses.MISSING), ("method", dataclasses.MISSING),
-            ("std_error", None), ("detail", None)]
-        assert vars(result) == {"price": 1.5, "d_plus": 0.25, "d_minus": 0.125, "method": "tree",
-                                "std_error": None, "detail": {"steps": 4}}
-        for name in ("price", "method", "std_error", "detail"):
+            ("price", dataclasses.MISSING), ("std_error", None), ("detail", None)]
+        assert vars(result) == {"price": 1.5, "std_error": None, "detail": {"terminal_nodes": 5}}
+        for name in ("price", "std_error", "detail"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(result, name, 2.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -370,13 +361,11 @@ class TestPriceResult:
         assert result.price == 1.5
 
     def test_repr_eq_hash_replace_pickle_and_copy(self):
-        result = PriceResult(price=3.0, d_plus=0.5, d_minus=0.25, method="monte_carlo",
-                             std_error=0.01)
-        assert repr(result) == ("PriceResult(price=3.0, d_plus=0.5, d_minus=0.25, "
-                                "method='monte_carlo', std_error=0.01, detail=None)")
-        same = PriceResult(3.0, 0.5, 0.25, "monte_carlo", 0.01)
+        result = PriceResult(price=3.0, std_error=0.01)
+        assert repr(result) == "PriceResult(price=3.0, std_error=0.01, detail=None)"
+        same = PriceResult(3.0, 0.01)
         assert result == same and hash(result) == hash(same)
-        assert result != PriceResult(3.0, 0.5, 0.25, "monte_carlo")
+        assert result != PriceResult(3.0)
         moved = dataclasses.replace(result, price=4.0)
         assert moved.price == 4.0 and moved.std_error == 0.01 and result.price == 3.0
         with pytest.raises(ValueError, match="price must be nonnegative"):
@@ -385,12 +374,10 @@ class TestPriceResult:
                      copy.deepcopy(result)):
             assert twin == result and twin is not result
         with pytest.raises(TypeError):  # a dict detail is unhashable, as before
-            hash(PriceResult(1.0, 0.0, 0.0, "tree", detail={}))
+            hash(PriceResult(1.0, detail={}))
 
-    def test_rejects_negative_price_and_bad_method(self):
-        with pytest.raises(ValueError):
-            PriceResult(price=-1.0, d_plus=0.0, d_minus=0.0, method="closed_form")
-        with pytest.raises(ValueError):
-            PriceResult(price=1.0, d_plus=0.0, d_minus=0.0, method="magic")
-        with pytest.raises(ValueError):
-            PriceResult(price=1.0, d_plus=0.0, d_minus=0.0, method="tree", std_error=-0.1)
+    def test_rejects_negative_price_and_std_error(self):
+        with pytest.raises(ValueError, match="price must be nonnegative"):
+            PriceResult(price=-1.0)
+        with pytest.raises(ValueError, match="std_error must be nonnegative"):
+            PriceResult(price=1.0, std_error=-0.1)
