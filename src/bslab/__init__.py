@@ -18,7 +18,7 @@ _EXPORTS = {
                "run_convergence_experiment", "sample_row_sum", "variance_linearity_check"),
     "increments": ("IncrementModel",),
     "montecarlo": ("McConfig", "mc_forward_check", "mc_price"),
-    "normal": ("norm_cdf", "norm_cdf_inv", "norm_pdf"),
+    "normal": ("norm_cdf", "norm_cdf_inv"),
     "pricing": ("NormalParams", "OptionSpec", "PriceResult", "bs_call_price", "d_plus_minus",
                 "intrinsic_forward_value", "lognormal_call_expectation", "lognormal_h_plus_minus"),
     "rng": ("normal_stream", "poisson_stream", "substream", "uniform_stream"),

@@ -18,10 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .normal import norm_cdf, norm_pdf
+from .normal import norm_cdf
 from .pricing import require_positive
 from .rng import normal_stream, poisson_law, poisson_stream, uniform_stream
 
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 KINDS = ("two_point", "uniform", "centered_exponential", "normal", "poisson_jump")
 
 
@@ -106,8 +107,10 @@ class IncrementModel:
         c = epsilon / s
         if self.kind == "normal":
             # 2*integral_c^inf z^2 phi(z) dz = 2*(c*phi(c) + 1 - N(c)), empty once c overflows
-            # (2 is exact on the bracket, where v*2 overflows past 9e307)
-            return v * (2.0 * (c * norm_pdf(c) + norm_cdf(-c))) if c < math.inf else 0.0
+            # (2 is exact on the bracket, where v*2 overflows past 9e307); phi(c) takes np.exp,
+            # whose bits math.exp does not always give, and c*c past 1.3e154 is inf: exp(-inf) = 0
+            phi = float(np.exp(-0.5 * c * c)) * _INV_SQRT_2PI
+            return v * (2.0 * (c * phi + norm_cdf(-c))) if c < math.inf else 0.0
         if self.kind == "centered_exponential":
             # Z/s + 1 ~ Exp(1), and -e^{-x}(x^2 + 1) is an antiderivative of
             # (x - 1)^2 e^{-x}: the tail above 1 + c, plus the one below 1 - c

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pricing import (OptionSpec, PriceResult, forward_strike, intrinsic_forward_value,
-                      require_count)
+from .pricing import (OptionSpec, PriceResult, finite_d_pair, forward_strike,
+                      intrinsic_forward_value, require_count)
 from .rng import block_mean_m2, check_seed, map_blocks, normal_stream
 
 
@@ -48,10 +48,10 @@ def _forward_units(spec: OptionSpec, cfg: McConfig, lo: int, hi: int) -> np.ndar
 def mc_price(spec: OptionSpec, cfg: McConfig) -> PriceResult:
     """Average discounted payoff over cfg.paths sampled terminal prices.
 
-    std_error is the sample standard deviation over sqrt(paths). Zero
-    volatility is a point mass: its exact value, with std_error 0.
+    std_error is the sample standard deviation over sqrt(paths). With d+- at their
+    limit (pricing.finite_d_pair) the law is a point mass: its exact value, std_error 0.
     """
-    if spec.vol_sqrt_t == 0.0:
+    if finite_d_pair(spec) is None:
         return PriceResult(intrinsic_forward_value(spec), std_error=0.0)
 
     kappa, kappa_lo = forward_strike(spec)

@@ -5,13 +5,13 @@ The closed form is C = spot*N(d+) - strike*exp(-rate*expiry)*N(d-). When
 volatility*sqrt(expiry) is zero the formula degenerates (it divides by that
 quantity), and the price is defined by its continuous limit
 max(spot - strike*exp(-rate*expiry), 0); so it is when volatility*sqrt(expiry)
-is so small that d+- overflow. A discounted strike past the largest double
-fails in one line that names strike, rate and expiry.
+is so small that d+- overflow. finite_d_pair holds that rule for the closed
+form, the lattice and Monte Carlo alike. A discounted strike past the largest
+double fails in one line that names strike, rate and expiry.
 
 A PriceResult holds only what its pricer computed; d+- belong to the
 contract's limit law, and a report takes them from d_plus_minus(spec).
-bs_call_price is the hot path (a PriceResult per contract), so it takes
-volatility*sqrt(expiry) once and hands it to the one d+- helper, and
+bs_call_price is the hot path (a PriceResult per contract), so
 PriceResult's __init__ writes its checked fields straight into the instance
 dict: the __init__ a frozen dataclass generates makes one object.__setattr__
 call per field, which was two thirds of a closed-form price's cost.
@@ -132,11 +132,12 @@ class PriceResult:
         fields["detail"] = detail
 
 
-def _d_pair(spec: OptionSpec, s: float) -> tuple[float, float]:
+def d_plus_minus(spec: OptionSpec) -> tuple[float, float]:
     """d+- = m/s +- s/2 for s = volatility*sqrt(expiry), where m is the log
     forward moneyness log(e^{rt}*spot/strike). When s is zero both are at
     their limit: infinite with the sign of m, or 0 at the money; a subnormal
     s whose m/s overflows gives the same infinite limit."""
+    s = spec.vol_sqrt_t
     ratio = spec.spot / spec.strike
     # log(e^{rt} * spot / strike), written to avoid the exp/log round trip; a
     # ratio that overflows, underflows or is subnormal (and so has lost bits)
@@ -149,11 +150,11 @@ def _d_pair(spec: OptionSpec, s: float) -> tuple[float, float]:
     return d, d
 
 
-def d_plus_minus(spec: OptionSpec) -> tuple[float, float]:
-    """d+- = log(e^{rt}*spot/strike)/(vol*sqrt(t)) +- vol*sqrt(t)/2, at their
-    limit when volatility*sqrt(expiry) is zero or too small for them to be
-    finite (_d_pair)."""
-    return _d_pair(spec, spec.vol_sqrt_t)
+def finite_d_pair(spec: OptionSpec) -> tuple[float, float] | None:
+    """d+- while they are finite; None once they are at their limit (volatility*sqrt(expiry)
+    zero, or so small that m/s is not), where every pricer takes the deterministic limit."""
+    dp, dm = d_plus_minus(spec)
+    return (dp, dm) if spec.vol_sqrt_t and -_INF < dm and dp < _INF else None
 
 
 def discount_factor(spec: OptionSpec) -> float:
@@ -186,15 +187,13 @@ def intrinsic_forward_value(spec: OptionSpec) -> float:
 
 
 def bs_call_price(spec: OptionSpec) -> PriceResult:
-    """Closed-form call price; the deterministic limit when d+- are at theirs
-    (volatility*sqrt(expiry) zero, or too small for m/s to be finite)."""
-    s = spec.vol_sqrt_t
-    dp, dm = _d_pair(spec, s)
-    if s and -_INF < dm and dp < _INF:  # d+- finite: not at their limit
-        raw = spec.spot * norm_cdf(dp) - spec.strike * discount_factor(spec) * norm_cdf(dm)
-        # deep out-of-the-money rounding can leave a tiny negative difference
-        return PriceResult(raw if raw > 0.0 else 0.0)
-    return PriceResult(intrinsic_forward_value(spec))
+    """Closed-form call price; the deterministic limit when d+- are at theirs."""
+    d = finite_d_pair(spec)
+    if d is None:
+        return PriceResult(intrinsic_forward_value(spec))
+    raw = spec.spot * norm_cdf(d[0]) - spec.strike * discount_factor(spec) * norm_cdf(d[1])
+    # deep out-of-the-money rounding can leave a tiny negative difference
+    return PriceResult(raw if raw > 0.0 else 0.0)
 
 
 def lognormal_h_plus_minus(params: NormalParams, threshold: float) -> tuple[float, float]:

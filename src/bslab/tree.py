@@ -19,13 +19,14 @@ of p, times spot is the price, so no price passes spot; a price under about
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from array import array
 from dataclasses import dataclass
 
-from .pricing import (OptionSpec, PriceResult, forward_strike, intrinsic_forward_value,
-                      require_count)
+from .pricing import (OptionSpec, PriceResult, finite_d_pair, forward_strike,
+                      intrinsic_forward_value, require_count)
 
 
 # most lattice steps: 10**9 weigh about 300K nodes (3.5 MiB, 0.12 s on a Xeon
@@ -50,11 +51,17 @@ MAX_STEP_VOL = 8.0
 
 
 def _more_steps(spec: OptionSpec, n: int, ratio: float, strict: bool) -> str:
-    """Names the inputs and the fewest steps m >= ratio^2 * expiry (m > it if strict)."""
+    """Names the inputs and the fewest steps m >= ratio^2 * expiry (m > it if strict) or, past
+    10**9, the fewest m at which vol*sqrt(expiry/m), falling in m, underflows to 0."""
     bound = ratio * ratio * spec.expiry
-    fewest = (f"increase steps to at least {math.floor(bound) + 1 if strict else math.ceil(bound)}"
-              if bound < MAX_STEPS else "no step count up to 10**9 fits")
-    return f"at vol={spec.volatility}, expiry={spec.expiry}, steps={n}; {fewest}"
+    if bound < MAX_STEPS:
+        fewest = math.floor(bound) + 1 if strict else math.ceil(bound)
+    else:  # the deterministic path; MAX_STEPS + 1 if even 10**9 steps keep a step vol
+        fewest = n + bisect.bisect(range(n, MAX_STEPS + 1), False,
+                                   key=lambda m: not spec.volatility * math.sqrt(spec.expiry / m))
+    advice = (f"increase steps to at least {fewest}" if fewest <= MAX_STEPS
+              else "no step count up to 10**9 fits")
+    return f"at vol={spec.volatility}, expiry={spec.expiry}, steps={n}; {advice}"
 
 
 # past the smallest normal float the upward walk carries a weight times
@@ -120,13 +127,13 @@ def crr_tree_price(spec: OptionSpec, cfg: TreeConfig) -> PriceResult:
     and each e^x_k computed directly (its term in logs past the largest double). A loop upward
     from the mode gathers the weights and the in-the-money terms until both fall past `_CUT`,
     one downward until the weight does, and `math.fsum` rounds each sum correctly. A
-    vol*sqrt(t/n) that is zero (or underflows to it) is a single deterministic path: the
-    deterministic-limit price.
+    vol*sqrt(t/n) that is zero (or underflows to it) is a single deterministic path, and so is a
+    contract whose d+- are at their limit (pricing.finite_d_pair): the deterministic-limit price.
     """
     n = cfg.steps
     dt = spec.expiry / n
     step_vol = spec.volatility * math.sqrt(dt)
-    if not step_vol:
+    if not step_vol or finite_d_pair(spec) is None:
         return PriceResult(intrinsic_forward_value(spec), detail={"degenerate": True})
     if step_vol > MAX_STEP_VOL:
         raise ValueError(f"the lattice is too coarse: vol*sqrt(expiry/steps) = {step_vol:.6g} "

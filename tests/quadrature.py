@@ -32,6 +32,14 @@ class QuadratureSettings:
 
 DEFAULT_SETTINGS = QuadratureSettings()
 
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def normal_pdf(x: float) -> float:
+    """Standard normal density exp(-x^2/2)/sqrt(2*pi), the integrand of the
+    oracles that check a normal CDF or tail; 0 once exp underflows."""
+    return math.exp(-0.5 * x * x) * _INV_SQRT_2PI
+
 
 class QuadratureConvergenceError(RuntimeError):
     """Raised when adaptive subdivision cannot reach the requested tolerance.

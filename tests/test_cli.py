@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from bslab.cli import COMMANDS, RunConfig, UsageError, execute, main, parse_args
 from bslab.increments import KINDS, IncrementModel
-from bslab.pricing import OptionSpec, PriceResult, d_plus_minus
+from bslab.pricing import (OptionSpec, PriceResult, bs_call_price, d_plus_minus,
+                           intrinsic_forward_value)
 
 PRICE_ARGS = ["price", "--spot", "50", "--strike", "52", "--rate", "0.04",
               "--expiry", "1", "--vol", "0.15"]
@@ -591,6 +592,62 @@ class TestCommandTable:
                 results = report["results"]
                 assert [results["d_plus"].hex(), results["d_minus"].hex()] == expected, command
                 assert report["diagnostics"]["method"] == method
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_d_at_their_limit_price_the_deterministic_limit_in_every_pricer(self, fmt, capsys):
+        # vol*sqrt(expiry) = 1e-320 is so small that m/s overflows: d+- are at their
+        # limit. The lattice refused 8 steps saying no step count fits, and Monte Carlo
+        # reported the limit with a rounding-noise std_error of 3.5e-16
+        contract = ["--spot", "100", "--strike", "50", "--rate", "0.04", "--expiry", "1",
+                    "--vol", "1e-320", "--format", fmt]
+
+        def fields(*argv):
+            assert main([*argv, *contract]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            if fmt == "json":
+                report = json.loads(out)
+                return {**report["results"], **report["diagnostics"]}
+            if fmt == "csv":
+                return next(csv.DictReader(io.StringIO(out)))
+            return dict(line.strip().split(" = ") for line in out.splitlines() if " = " in line)
+
+        closed, tree = fields("price"), fields("tree", "--steps", "8")
+        sampled = fields("mc", "--paths", "1000", "--seed", "1")
+        assert tree["price"] == closed["price"] == sampled["price"]
+        assert tree["degenerate"] in (True, "True", "true")
+        assert sampled["std_error"] in (0.0, "0", "0.000000000000")
+        if fmt == "json":
+            spec = OptionSpec(100.0, 50.0, 0.04, 1.0, 1e-320)
+            assert closed["price"] == bs_call_price(spec).price == intrinsic_forward_value(spec)
+
+    def test_every_step_count_a_lattice_refusal_names_prices(self, capsys):
+        # four volatility bands: subnormal at the money forward (m within rounding of 0,
+        # so m/s stays finite and only the step vol's underflow prices) and at any strike
+        # (the lattice named no count where the limit priced), small (the drift rule) and
+        # large (the coarseness rule). A named count prices; "none fits" holds at 10**9
+        rnd = random.Random(3131)
+        bands = [(-323.3, -308.0), (-323.3, -308.0), (-4.0, 0.0), (1.0, 3.0)]
+        outcomes = {"priced": 0, "named": 0, "none": 0}
+        for i in range(400):
+            spot, rate, expiry = 10 ** rnd.uniform(-2, 4), rnd.uniform(-0.1, 0.1), \
+                10 ** rnd.uniform(-2, 1)
+            strike = spot * math.exp(rate * expiry if i % 4 == 0 else rnd.uniform(-1, 1))
+            flags = [f"--{name}={value!r}" for name, value in
+                     zip(("spot", "strike", "rate", "expiry", "vol"),
+                         (spot, strike, rate, expiry, 10 ** rnd.uniform(*bands[i % 4])))]
+            steps = int(10 ** rnd.uniform(0, 4))
+            if main(["tree", *flags, "--steps", str(steps)]) == 0:
+                outcomes["priced"] += 1
+            elif (err := capsys.readouterr().err).endswith("no step count up to 10**9 fits\n"):
+                assert main(["tree", *flags, "--steps", str(10 ** 9)]) == 2, err
+                outcomes["none"] += 1
+            else:
+                fewest = int(err.rsplit("increase steps to at least ", 1)[1])
+                assert main(["tree", *flags, "--steps", str(fewest)]) == 0, err
+                outcomes["named"] += 1
+            capsys.readouterr()
+        assert min(outcomes.values()) >= 20, outcomes
 
     @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
     @pytest.mark.parametrize("command", ["lindeberg", "clt-demo"])

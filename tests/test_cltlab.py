@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -353,11 +354,37 @@ class TestKsNormalTest:
         stat, _ = ks_normal_test(x, 0.0, 1.0)
         assert stat == pytest.approx(stats.kstest(x, "norm").statistic, abs=1e-12)
 
+    def test_statistics_keep_their_bits_over_seeded_samples(self):
+        # normal, heavy-tailed, uniform and exponential samples, some standardized far
+        # into the tails where N(z) is subnormal or 1; sha256 of statistic and threshold hex
+        gen = np.random.default_rng(3102)
+        draws = [lambda m: gen.normal(size=m), lambda m: gen.standard_t(3, size=m),
+                 lambda m: gen.uniform(-2.0, 2.0, size=m), lambda m: gen.exponential(size=m)]
+        results = []
+        for i in range(60):
+            m = int(gen.integers(100, 5000))
+            mean, std_dev = gen.uniform(-3.0, 3.0), 10 ** gen.uniform(-2.0, 1.0)
+            x = draws[i % 4](m) * 10 ** gen.uniform(-1.0, 2.0) + mean
+            results += [v.hex() for v in ks_normal_test(x, mean, std_dev)]
+        digest = hashlib.sha256(",".join(results).encode()).hexdigest()
+        assert digest == "b801a7fb83314fcf4faf28b36ece91de91e64095eff0ee5273274659b03aba5c"
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ks_normal_test(np.zeros(99), 0.0, 1.0)
         with pytest.raises(ValueError):
             ks_normal_test(np.zeros(500), 0.0, 0.0)
+
+    @pytest.mark.parametrize("x, mean, std_dev", [
+        (np.r_[np.zeros(200), np.inf], 0.0, 1.0),
+        (np.r_[np.zeros(200), np.nan], 0.0, 1.0),
+        (np.r_[np.zeros(200), 1e308], -1e308, 1.0),  # x - mean overflows
+        (np.r_[np.zeros(200), 1e300], 0.0, 1e-10),  # the division overflows
+    ], ids=["inf", "nan", "difference_overflows", "quotient_overflows"])
+    def test_non_finite_standardized_sample_is_refused(self, x, mean, std_dev):
+        # warnings are errors here, so an overflow warning would fail this before the check
+        with pytest.raises(ValueError, match="^ks_normal_test requires finite input"):
+            ks_normal_test(x, mean, std_dev)
 
     def test_rows_of_samples_are_named(self):
         with pytest.raises(ValueError, match="samples must be one-dimensional"):

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -6,8 +8,7 @@ import pytest
 from scipy import stats
 
 from bslab.increments import KINDS, IncrementModel
-from bslab.normal import norm_pdf
-from quadrature import QuadratureSettings, integrate
+from quadrature import QuadratureSettings, integrate, normal_pdf
 
 ALL_MODELS = [
     IncrementModel.two_point(0.0225),
@@ -163,7 +164,7 @@ class TestLindebergTail:
             s = math.sqrt(model.variance(h))
             for eps in (0.005, 0.01, 0.05):
                 quad = 2.0 * integrate(
-                    lambda z: z * z * norm_pdf(z / s) / s, eps, math.inf, tight)
+                    lambda z: z * z * normal_pdf(z / s) / s, eps, math.inf, tight)
                 tail = model.lindeberg_tail(h, eps)
                 assert tail == pytest.approx(quad, rel=1e-10, abs=1e-18)
 
@@ -209,6 +210,25 @@ class TestLindebergTail:
         # eps/s overflows to inf: e^{-1-c} is 0 and c^2 is inf, whose product is nan
         for kind in ("two_point", "uniform", "normal", "centered_exponential"):
             assert IncrementModel(kind, 1e-300).lindeberg_tail(1.0, 1e300) == 0.0
+
+    def test_normal_tail_keeps_its_bits_over_a_sweep(self):
+        # 2,000 seeded (v, h, eps) with c = eps/sqrt(v*h) near 0, near 1, about 38 (where
+        # phi(c) and N(-c) are subnormal), past 1.3e154 (where c*c overflows) and past
+        # 1e200, mostly at overflow (c = inf): an empty tail; sha256 of the tails' hex
+        rnd = random.Random(3101)
+        bands = [(-12.0, -2.0), (-0.3, 0.3), (math.log10(37.0), math.log10(39.0)),
+                 (154.2, 200.0)]
+        tails = []
+        for i in range(2000):
+            if i % 5 == 4:
+                v, h, eps = 10 ** rnd.uniform(-200, -150), 10 ** rnd.uniform(-100, -60), \
+                    10 ** rnd.uniform(100, 300)
+            else:
+                v, h = 10 ** rnd.uniform(-100, 100), 10 ** rnd.uniform(-6, 2)
+                eps = 10 ** rnd.uniform(*bands[i % 5]) * math.sqrt(v * h)
+            tails.append(IncrementModel.normal(v).lindeberg_tail(h, eps).hex())
+        digest = hashlib.sha256(",".join(tails).encode()).hexdigest()
+        assert digest == "544778510ac2df06632faf0a564a0a63254e75096062cfdf4e5a8bf30dfabaf5"
 
     def test_epsilon_domain(self):
         with pytest.raises(ValueError):

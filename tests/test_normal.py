@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from bslab.normal import norm_cdf, norm_cdf_inv, norm_pdf
-from quadrature import QuadratureSettings, integrate
+from bslab.normal import norm_cdf, norm_cdf_inv
+from quadrature import QuadratureSettings, integrate, normal_pdf
 
 TIGHT = QuadratureSettings(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=2000)
 
@@ -26,7 +26,7 @@ def test_cdf_matches_three_digit_tables():
 
 def test_cdf_at_five_vs_quadrature():
     # independent route: adaptive quadrature of the density, split at 0
-    quad = integrate(norm_pdf, -math.inf, 0.0, TIGHT) + integrate(norm_pdf, 0.0, 5.0, TIGHT)
+    quad = integrate(normal_pdf, -math.inf, 0.0, TIGHT) + integrate(normal_pdf, 0.0, 5.0, TIGHT)
     assert abs(quad - norm_cdf(5.0)) <= 1e-12
     assert norm_cdf(5.0) == pytest.approx(N_AT_FIVE, abs=1e-12)
 
@@ -39,40 +39,37 @@ def test_cdf_reflection_identity():
 
 def test_cdf_nondecreasing():
     xs = np.sort(np.random.default_rng(8).uniform(-10.0, 10.0, size=500))
-    values = norm_cdf(xs)
+    values = np.array([norm_cdf(x) for x in xs])
     assert np.all(np.diff(values) >= 0.0)
     assert np.all((values >= 0.0) & (values <= 1.0))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_cdf_and_pdf_reject_nonfinite(bad):
-    with pytest.raises(ValueError):
+def test_cdf_rejects_nonfinite(bad):
+    with pytest.raises(ValueError, match="norm_cdf requires finite input"):
         norm_cdf(bad)
-    with pytest.raises(ValueError):
-        norm_pdf(bad)
 
 
 def test_pdf_at_mode():
-    assert norm_pdf(0.0) == pytest.approx(0.3989422804014327, abs=1e-15)
+    assert normal_pdf(0.0) == pytest.approx(0.3989422804014327, abs=1e-15)
 
 
 def test_pdf_even_and_positive():
-    xs = np.linspace(-10.0, 10.0, 201)
-    assert np.array_equal(norm_pdf(xs), norm_pdf(-xs))
-    assert np.all(norm_pdf(xs) > 0.0)
+    for x in np.linspace(-10.0, 10.0, 201):
+        assert normal_pdf(x) == normal_pdf(-x) > 0.0
 
 
 @pytest.mark.parametrize("h", [1e-4, 1e-5])
 def test_pdf_matches_central_difference_of_cdf(h):
     for x in (-3.0, -1.0, 0.0, 0.5, 1.0, 2.5):
         fd = (norm_cdf(x + h) - norm_cdf(x - h)) / (2.0 * h)
-        assert abs(fd - norm_pdf(x)) <= 1e-8
+        assert abs(fd - normal_pdf(x)) <= 1e-8
 
 
 def test_quadrature_reproduces_cdf_on_random_points():
     rng = np.random.default_rng(12345)
     for x in rng.uniform(-6.0, 6.0, size=100):
-        assert abs(integrate(norm_pdf, -math.inf, float(x)) - norm_cdf(x)) <= 1e-10
+        assert abs(integrate(normal_pdf, -math.inf, float(x)) - norm_cdf(x)) <= 1e-10
 
 
 def test_inverse_matches_scipy_reference():
@@ -106,7 +103,7 @@ def test_inverse_matches_mpmath_oracle():
 
 def test_inverse_round_trip():
     xs = np.linspace(-5.0, 5.0, 401)
-    assert np.max(np.abs(norm_cdf_inv(norm_cdf(xs)) - xs)) <= 1e-9
+    assert np.max(np.abs(norm_cdf_inv([norm_cdf(x) for x in xs]) - xs)) <= 1e-9
 
 
 def test_inverse_scalar_in_scalar_out():

@@ -16,12 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bslab.cli import main
-from bslab.normal import norm_cdf, norm_pdf
+from bslab.normal import norm_cdf
 from bslab.pricing import (NormalParams, OptionSpec, PriceResult, bs_call_price, d_plus_minus,
                            forward_strike, intrinsic_forward_value, lognormal_call_expectation,
                            lognormal_h_plus_minus)
 from bslab.tree import TreeConfig, crr_tree_price
-from quadrature import QuadratureSettings, integrate
+from quadrature import QuadratureSettings, integrate, normal_pdf
 
 EXAMPLE = OptionSpec(spot=50.0, strike=52.0, rate=0.04, expiry=1.0, volatility=0.15)
 
@@ -57,7 +57,7 @@ def quadrature_call_expectation(mean: float, std_dev: float, threshold: float) -
 
     def integrand(y: float) -> float:
         z = (y - mean) / std_dev
-        return math.exp(y - 0.5 * z * z) / norm - threshold * norm_pdf(z) / std_dev
+        return math.exp(y - 0.5 * z * z) / norm - threshold * normal_pdf(z) / std_dev
 
     return integrate(integrand, math.log(threshold), math.inf,
                      QuadratureSettings(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=2000))

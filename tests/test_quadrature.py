@@ -3,16 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from bslab.normal import norm_pdf
-from quadrature import QuadratureConvergenceError, QuadratureSettings, integrate
+from quadrature import QuadratureConvergenceError, QuadratureSettings, integrate, normal_pdf
 
 
 def test_density_normalizes_to_one():
-    assert integrate(norm_pdf, -math.inf, math.inf) == pytest.approx(1.0, abs=1e-10)
+    assert integrate(normal_pdf, -math.inf, math.inf) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_half_line_gives_half():
-    assert integrate(norm_pdf, -math.inf, 0.0) == pytest.approx(0.5, abs=1e-10)
+    assert integrate(normal_pdf, -math.inf, 0.0) == pytest.approx(0.5, abs=1e-10)
 
 
 def test_lognormal_mean_over_whole_line():
@@ -38,9 +37,9 @@ def test_settings_validation():
 
 def test_bad_bounds_rejected():
     with pytest.raises(ValueError):
-        integrate(norm_pdf, 1.0, 1.0)
+        integrate(normal_pdf, 1.0, 1.0)
     with pytest.raises(ValueError):
-        integrate(norm_pdf, math.nan, 1.0)
+        integrate(normal_pdf, math.nan, 1.0)
 
 
 def test_convergence_failure_carries_best_estimate():
