@@ -1,13 +1,14 @@
 """European call pricing: closed form, lognormal payoff expectation, and the
 no-arbitrage identities tying them together.
 
-The closed form is C = spot*N(d+) - strike*exp(-rate*expiry)*N(d-). When
-volatility*sqrt(expiry) is zero the formula degenerates (it divides by that
-quantity), and the price is defined by its continuous limit
-max(spot - strike*exp(-rate*expiry), 0); so it is when volatility*sqrt(expiry)
-is so small that d+- overflow. finite_d_pair holds that rule for the closed
-form, the lattice and Monte Carlo alike. A discounted strike past the largest
-double fails in one line that names strike, rate and expiry.
+The closed form is C = spot*N(d+) - strike*exp(-rate*expiry)*N(d-). A term whose
+N factor (or exp(-rate*expiry)) is subnormal or 0 is formed in logs, with log N(d)
+from its asymptotic series, so a huge factor in front of it keeps the term. When
+volatility*sqrt(expiry) is zero the formula degenerates (it divides by that quantity),
+and the price is defined by its continuous limit max(spot - strike*exp(-rate*expiry), 0);
+so it is when volatility*sqrt(expiry) is so small that d+- overflow. finite_d_pair holds
+that rule for the closed form, the lattice and Monte Carlo alike. A discounted strike
+past the largest double fails in one line that names strike, rate and expiry.
 
 A PriceResult holds only what its pricer computed; d+- belong to the
 contract's limit law, and a report takes them from d_plus_minus(spec).
@@ -65,9 +66,9 @@ def require_positive(name: str, value) -> float:
 class OptionSpec:
     """Market and contract parameters for one European call.
 
-    spot and strike are in currency units; rate is the continuously
-    compounded annual risk-free rate; expiry is in years; volatility is the
-    annualized standard deviation of the log-return.
+    spot and strike are in currency units; rate is the continuously compounded annual
+    risk-free rate; expiry is in years; volatility is the annualized standard deviation of
+    the log-return. vol_sqrt_t = volatility*sqrt(expiry) is an attribute, not a field.
     """
 
     spot: float
@@ -85,13 +86,10 @@ class OptionSpec:
             raise ValueError(f"expiry must be nonnegative, got {self.expiry}")
         if self.volatility < 0.0:
             raise ValueError(f"volatility must be nonnegative, got {self.volatility}")
+        object.__setattr__(self, "vol_sqrt_t", self.volatility * math.sqrt(self.expiry))
         if self.vol_sqrt_t == math.inf:
             raise ValueError(f"volatility*sqrt(expiry) must be finite, got volatility "
                              f"{self.volatility} and expiry {self.expiry}")
-
-    @property
-    def vol_sqrt_t(self) -> float:
-        return self.volatility * math.sqrt(self.expiry)
 
 
 @dataclass(frozen=True)
@@ -157,24 +155,26 @@ def finite_d_pair(spec: OptionSpec) -> tuple[float, float] | None:
     return (dp, dm) if spec.vol_sqrt_t and -_INF < dm and dp < _INF else None
 
 
-def discount_factor(spec: OptionSpec) -> float:
-    """exp(-rate*expiry); ValueError naming strike, rate and expiry when the
-    discounted strike strike*exp(-rate*expiry) overflows a double."""
+def discounted_strike(spec: OptionSpec) -> float:
+    """strike*exp(-rate*expiry), taken in logs where exp(-rate*expiry) is subnormal or 0;
+    ValueError naming strike, rate and expiry when it overflows a double."""
     try:
         disc = math.exp(-spec.rate * spec.expiry)
     except OverflowError:  # exp itself passed the largest double
         disc = math.inf
-    if spec.strike * disc == _INF:
+    strike = (spec.strike * disc if disc >= _NORMAL_MIN
+              else math.exp(math.log(spec.strike) - spec.rate * spec.expiry))
+    if strike == _INF:
         raise ValueError(f"the discounted strike strike*exp(-rate*expiry) overflows a double at "
                          f"strike={spec.strike}, rate={spec.rate}, expiry={spec.expiry}")
-    return disc
+    return strike
 
 
 def forward_strike(spec: OptionSpec) -> tuple[float, float]:
     """(kappa, kappa_lo): the strike in forward units, strike*e^{-rt}/spot, rounded,
     and the rest that the rounding leaves out, exact in integers (0 if kappa
     overflows), so that a node or path within rounding of it weighs its true excess."""
-    strike = spec.strike * discount_factor(spec)
+    strike = discounted_strike(spec)
     kappa = strike / spec.spot
     (a, b), (c, d) = strike.as_integer_ratio(), spec.spot.as_integer_ratio()
     g, h = kappa.as_integer_ratio() if kappa < _INF else (a * d, b * c)
@@ -183,15 +183,34 @@ def forward_strike(spec: OptionSpec) -> tuple[float, float]:
 
 def intrinsic_forward_value(spec: OptionSpec) -> float:
     """Deterministic-limit price max(spot - strike*e^{-rt}, 0)."""
-    return max(spec.spot - spec.strike * discount_factor(spec), 0.0)
+    return max(spec.spot - discounted_strike(spec), 0.0)
+
+
+# (-1)^k (2k-1)!! for k = 8 down to 1: the asymptotic series of N(x)*(-x)*sqrt(2*pi)*e^{x^2/2}
+_TAIL_SERIES = (2027025.0, -135135.0, 10395.0, -945.0, 105.0, -15.0, 3.0, -1.0)
+
+
+def _log_norm_cdf_tail(x: float) -> float:
+    """log N(x) for x below about -37, where N(x) is subnormal or 0:
+    -x^2/2 - log(-x) - log(2*pi)/2 + log1p(sum_{k=1..8} (-1)^k (2k-1)!!/x^{2k})."""
+    y, series = 1.0 / (x * x), 0.0
+    for c in _TAIL_SERIES:
+        series = (series + c) * y
+    return -0.5 * x * x - math.log(-x) - 0.5 * math.log(2.0 * math.pi) + math.log1p(series)
 
 
 def bs_call_price(spec: OptionSpec) -> PriceResult:
-    """Closed-form call price; the deterministic limit when d+- are at theirs."""
+    """Closed-form call price; the deterministic limit when d+- are at theirs. A term
+    whose N factor is subnormal or 0 is formed as exp(log prefactor + log N(d))."""
     d = finite_d_pair(spec)
     if d is None:
         return PriceResult(intrinsic_forward_value(spec))
-    raw = spec.spot * norm_cdf(d[0]) - spec.strike * discount_factor(spec) * norm_cdf(d[1])
+    (dp, dm), strike_pv = d, discounted_strike(spec)
+    n_plus, n_minus = norm_cdf(dp), norm_cdf(dm)
+    spot_term = (spec.spot * n_plus if n_plus >= _NORMAL_MIN
+                 else math.exp(math.log(spec.spot) + _log_norm_cdf_tail(dp)))
+    raw = spot_term - (strike_pv * n_minus if n_minus >= _NORMAL_MIN else math.exp(
+        math.log(spec.strike) - spec.rate * spec.expiry + _log_norm_cdf_tail(dm)))
     # deep out-of-the-money rounding can leave a tiny negative difference
     return PriceResult(raw if raw > 0.0 else 0.0)
 

@@ -6,15 +6,16 @@ martingale identity p*u + (1-p)*d = e^{r*t/n} holds by construction. p is taken
 as (expm1(r*t/n) - expm1(-x)) / (2*sinh(x)), which does not cancel near x = 0.
 
 The terminal row is Binomial(n, p), which concentrates within O(sqrt(n))
-nodes of its mode. Two plain loops, up and down from the mode, weigh the
-nodes and form the payoff terms (below the strike, the weights alone), and
-each ends where a double sum can no longer see them: 9,608 of the 1,000,001
-nodes at 10^6 steps, in plain `math`, with no numpy or scipy. Node k is e^x,
-x = (2k-n)*vol*sqrt(t/n) - r*t, in forward units as in bslab.montecarlo, against
-kappa = strike*e^{-r*t}/spot (pricing.forward_strike): a martingale, so no term
-passes the sum of the weights, and their ratio, capped at 1 against the rounding
-of p, times spot is the price, so no price passes spot; a price under about
-5e-324 of spot is 0.
+nodes of its mode. binomial_call_ratio, the one walk over a binomial row, weighs
+the nodes and forms the payoff terms in two plain loops, up and down from the
+mode (below the strike, the weights alone), each ending where a double sum can no
+longer see them: 9,608 of the 1,000,001 nodes at 10^6 steps, in plain `math`,
+with no numpy or scipy. Node k is e^x, x = (2k-n)*vol*sqrt(t/n) - r*t, in forward
+units as in bslab.montecarlo, against kappa = strike*e^{-r*t}/spot
+(pricing.forward_strike): a martingale, so no term passes the sum of the weights,
+and their ratio, capped at 1 against the rounding of p, times spot is the price,
+so no price passes spot; a price under about 5e-324 of spot is 0. The same walk
+at p = 1/2 prices a call on the CLT lab's two-point row sum, Binomial(n, 1/2).
 """
 
 from __future__ import annotations
@@ -72,33 +73,6 @@ _LIFT_BITS = 512
 _LIFT_LOG = _LIFT_BITS * math.log(2.0)
 
 
-def binomial_weights(n: int, p: float) -> tuple[int, array]:
-    """Binomial(n, p) weights around the mode min(n, floor((n+1)p)), scaled so
-    the mode weighs 1, by the ratio w[k+1]/w[k] = (n-k)/(k+1) * p/(1-p).
-
-    Returns (lo, weights) with weights[j] proportional to C(n,k) p^k (1-p)^(n-k)
-    at k = lo + j. Each side ends where the next weight would fall under the
-    smallest normal float, 2.3e-308 of the mode's, instead of crawling on through
-    the subnormals (a third of the row at 10^6 steps).
-    """
-    tiny = sys.float_info.min
-    mode, odds = min(n, int((n + 1) * p)), p / (1.0 - p)
-    above, below, w = array("d", [1.0]), array("d"), 1.0
-    for k in range(mode, n):
-        w *= (n - k) / (k + 1) * odds
-        if w < tiny:
-            break
-        above.append(w)
-    w = 1.0
-    for k in range(mode - 1, -1, -1):
-        w *= (k + 1) / (n - k) / odds
-        if w < tiny:
-            break
-        below.append(w)
-    below.reverse()
-    return mode - len(below), below + above
-
-
 # the last bit of a double sum is at least 2^-53 of its largest term, so the
 # walk ends upward once the weight and the payoff term are both under 2^-64
 # of their sum's largest, and downward once the weight is. The terms
@@ -119,40 +93,18 @@ def _term_in_logs(log_w: float, x: float, log_kappa: float) -> float:
     return math.exp(log_w + x + math.log(-math.expm1(gap))) if gap < 0.0 else 0.0
 
 
-def crr_tree_price(spec: OptionSpec, cfg: TreeConfig) -> PriceResult:
-    """Price a European call on a recombining binomial tree.
-
-    Returns spot * sum_k C(n,k) p^k (1-p)^{n-k} max(e^x_k - kappa, 0) in the module's forward
-    units, the sum capped at 1, with kappa carried to twice the precision as kappa + kappa_lo,
-    and each e^x_k computed directly (its term in logs past the largest double). A loop upward
-    from the mode gathers the weights and the in-the-money terms until both fall past `_CUT`,
-    one downward until the weight does, and `math.fsum` rounds each sum correctly. A
-    vol*sqrt(t/n) that is zero (or underflows to it) is a single deterministic path, and so is a
-    contract whose d+- are at their limit (pricing.finite_d_pair): the deterministic-limit price.
+def binomial_call_ratio(n: int, p: float, step: float, shift: float, kappa: float,
+                        kappa_lo: float, log_kappa: float) -> float:
+    """E[max(e^x_k - kappa, 0)] for k ~ Binomial(n, p) and nodes x_k = (2k-n)*step - shift,
+    against kappa + kappa_lo (kappa to twice the precision; log_kappa its log, taken from the
+    inputs, as kappa may overflow), capped at 1. The nodes must be a martingale, E[e^x_k] = 1,
+    so that no term passes the sum of the weights: the CRR lattice's, or the two-point row's
+    at p = 1/2 with shift n*log(cosh(step)). A loop upward from the mode gathers the weights
+    and the in-the-money terms until both fall past `_CUT` (a node e^x past the largest double
+    weighed in logs), one downward until the weight does, and `math.fsum` rounds each sum.
     """
-    n = cfg.steps
-    dt = spec.expiry / n
-    step_vol = spec.volatility * math.sqrt(dt)
-    if not step_vol or finite_d_pair(spec) is None:
-        return PriceResult(intrinsic_forward_value(spec), detail={"degenerate": True})
-    if step_vol > MAX_STEP_VOL:
-        raise ValueError(f"the lattice is too coarse: vol*sqrt(expiry/steps) = {step_vol:.6g} "
-                         f"passes {MAX_STEP_VOL} "
-                         + _more_steps(spec, n, spec.volatility / MAX_STEP_VOL, False))
-    rate_dt = spec.rate * dt
-    # |r*t/n| < x keeps exp(r*t/n) between d and u, and expm1 finite
-    p = ((math.expm1(rate_dt) - math.expm1(-step_vol)) / (2.0 * math.sinh(step_vol))
-         if abs(rate_dt) < step_vol else math.nan)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"the risk-neutral step probability leaves (0, 1): rate*expiry/steps = "
-                         f"{rate_dt:.6g} is not within +-vol*sqrt(expiry/steps) = +-{step_vol:.6g} "
-                         + _more_steps(spec, n, spec.rate / spec.volatility, True))
-
-    rate_t, (kappa, kappa_lo) = spec.rate * spec.expiry, forward_strike(spec)
-    exp, inf = math.exp, math.inf
-    log_kappa = math.log(spec.strike) - rate_t - math.log(spec.spot)
-    tiny = sys.float_info.min
-    mode, odds = min(n, int((n + 1) * p)), p / (1.0 - p)  # as in binomial_weights
+    exp, inf, tiny = math.exp, math.inf, sys.float_info.min
+    mode, odds = min(n, int((n + 1) * p)), p / (1.0 - p)
     weights, terms = array("d"), array("d")
     largest, before = 0.0, -inf
     # upward from the mode, lifting the weight past the float floor
@@ -160,7 +112,7 @@ def crr_tree_price(spec: OptionSpec, cfg: TreeConfig) -> PriceResult:
     for k in range(mode, n + 1):
         if not lifts:  # a lifted weight is under 2^-1022 of the mode's: no sum of weights sees it
             weights.append(w)
-        x = (2 * k - n) * step_vol - rate_t
+        x = (2 * k - n) * step - shift
         try:
             excess = exp(x) - kappa - kappa_lo
         except OverflowError:  # e^x passed the largest double
@@ -189,24 +141,53 @@ def crr_tree_price(spec: OptionSpec, cfg: TreeConfig) -> PriceResult:
         if w * ratio < tiny:
             w, lifts = math.ldexp(w, _LIFT_BITS), lifts + 1
         w *= ratio
-    # downward no weight passes the mode's and e^x is at most about 1 (x <= 2(p-1)*vol*sqrt(t/n)
-    # < 0 by Jensen, but for rounding near p = 1), so a term is under w times the mode's and w
-    # alone ends the walk, far above the float floor; below the strike every node is out of the
-    # money and is weighed alone
+    # downward no weight passes the mode's and, the nodes being a martingale, e^x is at most about
+    # 1 (for the lattice x <= 2(p-1)*vol*sqrt(t/n) < 0 by Jensen, but for rounding near p = 1), so
+    # a term is under w times the mode's and w alone ends the walk, far above the float floor;
+    # below the strike every node is out of the money and is weighed alone
     w, excess = 1.0, inf
     for k in range(mode - 1, -1, -1):
         w *= (k + 1) / (n - k) / odds
         weights.append(w)
         if excess > 0.0:  # not below the strike yet
-            excess = exp((2 * k - n) * step_vol - rate_t) - kappa - kappa_lo
+            excess = exp((2 * k - n) * step - shift) - kappa - kappa_lo
             if excess > 0.0:
                 terms.append(w * excess)
         if w < _CUT:
             break
     # a martingale's ratio is at most 1 (a call is worth at most spot) but for the rounding of p
-    price = spec.spot * min(math.fsum(terms) / math.fsum(weights), 1.0)
+    return min(math.fsum(terms) / math.fsum(weights), 1.0)
 
+
+def crr_tree_price(spec: OptionSpec, cfg: TreeConfig) -> PriceResult:
+    """Price a European call on a recombining binomial tree.
+
+    Returns spot * sum_k C(n,k) p^k (1-p)^{n-k} max(e^x_k - kappa, 0) in the module's forward
+    units, capped at spot: binomial_call_ratio with step vol*sqrt(t/n) and shift r*t. A
+    vol*sqrt(t/n) that is zero (or underflows to it) is a single deterministic path, and so is a
+    contract whose d+- are at their limit (pricing.finite_d_pair): the deterministic-limit price.
+    """
+    n = cfg.steps
+    dt = spec.expiry / n
+    step_vol = spec.volatility * math.sqrt(dt)
+    if not step_vol or finite_d_pair(spec) is None:
+        return PriceResult(intrinsic_forward_value(spec), detail={"degenerate": True})
+    if step_vol > MAX_STEP_VOL:
+        raise ValueError(f"the lattice is too coarse: vol*sqrt(expiry/steps) = {step_vol:.6g} "
+                         f"passes {MAX_STEP_VOL} "
+                         + _more_steps(spec, n, spec.volatility / MAX_STEP_VOL, False))
+    rate_dt = spec.rate * dt
+    # |r*t/n| < x keeps exp(r*t/n) between d and u, and expm1 finite
+    p = ((math.expm1(rate_dt) - math.expm1(-step_vol)) / (2.0 * math.sinh(step_vol))
+         if abs(rate_dt) < step_vol else math.nan)
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"the risk-neutral step probability leaves (0, 1): rate*expiry/steps = "
+                         f"{rate_dt:.6g} is not within +-vol*sqrt(expiry/steps) = +-{step_vol:.6g} "
+                         + _more_steps(spec, n, spec.rate / spec.volatility, True))
+
+    rate_t = spec.rate * spec.expiry
+    log_kappa = math.log(spec.strike) - rate_t - math.log(spec.spot)  # kappa may overflow
+    ratio = binomial_call_ratio(n, p, step_vol, rate_t, *forward_strike(spec), log_kappa)
     u = math.exp(step_vol)
-    detail = {"terminal_nodes": n + 1, "up_factor": u, "down_factor": 1.0 / u,
-              "prob_up": p}
-    return PriceResult(price, detail=detail)
+    detail = {"terminal_nodes": n + 1, "up_factor": u, "down_factor": 1.0 / u, "prob_up": p}
+    return PriceResult(spec.spot * ratio, detail=detail)

@@ -1,4 +1,5 @@
-"""The CRR lattice price weighed over the whole window of `binomial_weights`.
+"""The CRR lattice price weighed over the whole window of `binomial_weights`,
+a second weight recurrence written apart from `bslab.tree.binomial_call_ratio`.
 
 An oracle for the cut walk of `bslab.tree.crr_tree_price`, in the same
 forward units: it forms a term for every in-the-money node down to 2.3e-308
@@ -11,12 +12,39 @@ last bit unless a sum lies within about 2^-64 of a rounding boundary.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from fractions import Fraction
 from itertools import chain
 
 from bslab.pricing import OptionSpec
-from bslab.tree import binomial_weights
+
+
+def binomial_weights(n: int, p: float) -> tuple[int, array]:
+    """Binomial(n, p) weights around the mode min(n, floor((n+1)p)), scaled so
+    the mode weighs 1, by the ratio w[k+1]/w[k] = (n-k)/(k+1) * p/(1-p).
+
+    Returns (lo, weights) with weights[j] proportional to C(n,k) p^k (1-p)^(n-k)
+    at k = lo + j. Each side ends where the next weight would fall under the
+    smallest normal float, 2.3e-308 of the mode's, instead of crawling on through
+    the subnormals (a third of the row at 10^6 steps).
+    """
+    tiny = sys.float_info.min
+    mode, odds = min(n, int((n + 1) * p)), p / (1.0 - p)
+    above, below, w = array("d", [1.0]), array("d"), 1.0
+    for k in range(mode, n):
+        w *= (n - k) / (k + 1) * odds
+        if w < tiny:
+            break
+        above.append(w)
+    w = 1.0
+    for k in range(mode - 1, -1, -1):
+        w *= (k + 1) / (n - k) / odds
+        if w < tiny:
+            break
+        below.append(w)
+    below.reverse()
+    return mode - len(below), below + above
 
 
 def _exact_sum(values: array) -> float:

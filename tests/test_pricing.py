@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from bslab.cli import main
 from bslab.normal import norm_cdf
 from bslab.pricing import (NormalParams, OptionSpec, PriceResult, bs_call_price, d_plus_minus,
-                           forward_strike, intrinsic_forward_value, lognormal_call_expectation,
-                           lognormal_h_plus_minus)
+                           finite_d_pair, forward_strike, intrinsic_forward_value,
+                           lognormal_call_expectation, lognormal_h_plus_minus)
 from bslab.tree import TreeConfig, crr_tree_price
 from quadrature import QuadratureSettings, integrate, normal_pdf
 
@@ -61,6 +61,36 @@ def quadrature_call_expectation(mean: float, std_dev: float, threshold: float) -
 
     return integrate(integrand, math.log(threshold), math.inf,
                      QuadratureSettings(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=2000))
+
+
+def assert_near_mpmath(spec: OptionSpec, price: float) -> None:
+    """The closed form at 50 digits, from the float inputs exactly, against price.
+
+    Each N(d) is off by about d^2 ulps (rounding d/sqrt(2) moves erfc that much),
+    and a deep out-of-the-money price is the difference of two terms that agree
+    to about s/|d-|, so the price may be off by a few d^2 ulps of the larger
+    term, spot*N(d+), on top of 1e-12 of itself: over the two seeded sweeps
+    below the error is at most 2.5 of those units. Measured there, prices above
+    1e-12*spot are within 2.6e-12 relative (two contracts pass 1e-12, each with
+    terms that cancel 240-fold or more), and prices from 2^-1022 to 1e-12*spot
+    within 1.1e-8.
+    """
+    with mpmath.workdps(50):
+        spot, strike, rate, expiry, vol = (mpmath.mpf(v) for v in dataclasses.astuple(spec))
+        s = vol * mpmath.sqrt(expiry)
+        m = mpmath.log(spot / strike) + rate * expiry
+        spot_term = spot * mpmath.ncdf(m / s + s / 2)
+        ref = spot_term - strike * mpmath.exp(-rate * expiry) * mpmath.ncdf(m / s - s / 2)
+    dp, dm = d_plus_minus(spec)
+    allowed = 1e-12 * ref + 4 * (1 + max(dp * dp, dm * dm)) * 2.0 ** -53 * spot_term
+    assert abs(price - ref) <= allowed + 2.0 ** -1074, (spec, price, float(ref))
+
+
+def underflowing_factor(spec: OptionSpec) -> bool:
+    """Whether N(d+), N(d-) or exp(-rate*expiry) is subnormal or 0: the closed
+    form then takes that term in logs."""
+    return min(*map(norm_cdf, d_plus_minus(spec)),
+               math.exp(-spec.rate * spec.expiry)) < sys.float_info.min
 
 
 def random_specs(count: int, seed: int) -> list[OptionSpec]:
@@ -192,6 +222,17 @@ class TestCallPrice:
             assert kappa_lo == (float(exact - Fraction(kappa)) if kappa < math.inf else 0.0), spec
         assert kappa == math.inf and forward_strike(EXAMPLE)[1] != 0.0
 
+    def test_an_underflowing_discount_keeps_the_strike(self):
+        # exp(-rate*expiry) = e^-947 rounds to 0, but strike*e^-947 = 1.3e-130 is far above spot:
+        # the deterministic limit is 0 (it was spot), and the lattice's and Monte Carlo's
+        # kappa is 2.2e84 (it was 0)
+        spec = OptionSpec(5.96034602007817e-215, 3.2764216790810356e+281, 28.191840746613025,
+                          33.601621243615156, 0.0)
+        assert intrinsic_forward_value(spec) == 0.0
+        with mpmath.workdps(40):
+            exact = mpmath.mpf(spec.strike) * mpmath.exp(-mpmath.mpf(spec.rate) * spec.expiry)
+        assert math.isclose(forward_strike(spec)[0], exact / spec.spot, rel_tol=1e-12)
+
     def test_no_arbitrage_bounds(self):
         for spec in random_specs(300, 77):
             price = bs_call_price(spec).price
@@ -200,9 +241,11 @@ class TestCallPrice:
 
     def test_bits_match_the_closed_form_over_a_sweep(self):
         # every contract whose formula below returns a finite price: spot/strike a
-        # normal double, strike*exp(-rate*expiry) finite, vol*sqrt(t) above 0
+        # normal double, strike*exp(-rate*expiry) finite, vol*sqrt(t) above 0. A
+        # contract whose bits differ has an N factor under the smallest normal double,
+        # which the formula below drops or rounds, and meets mpmath instead
         rnd = random.Random(1919)
-        compared = 0
+        compared = changed = 0
         for _ in range(20_000):
             spot, strike = 10 ** rnd.uniform(-150, 150), 10 ** rnd.uniform(-150, 150)
             if rnd.random() < 0.5:
@@ -217,11 +260,62 @@ class TestCallPrice:
             if not (sys.float_info.min <= spot / strike and strike_pv < math.inf
                     and math.isfinite(dp) and math.isfinite(dm)):
                 continue
-            expected = max(spot * norm_cdf(dp) - strike_pv * norm_cdf(dm), 0.0)
-            assert bs_call_price(spec).price == expected, spec
+            price = bs_call_price(spec).price
+            if price != max(spot * norm_cdf(dp) - strike_pv * norm_cdf(dm), 0.0):
+                assert underflowing_factor(spec), spec
+                assert_near_mpmath(spec, price)
+                changed += 1
             assert d_plus_minus(spec) == (dp, dm)
             compared += 1
-        assert compared > 15_000
+        assert compared > 15_000 and 0 < changed < 50, changed
+
+    @pytest.mark.parametrize("domain", ["bit_sweep", "hypothesis_sweep"])
+    def test_prices_match_50_digit_mpmath_over_a_sweep(self, domain):
+        # the domains of the bit sweep above and of the hypothesis bounds sweep
+        # below (there vol and expiry log-uniform over 1e-9..1e3)
+        rnd = random.Random(1973)
+        priced = in_logs = 0
+        for _ in range(5_000):
+            if domain == "bit_sweep":
+                spot, strike = 10 ** rnd.uniform(-150, 150), 10 ** rnd.uniform(-150, 150)
+                if rnd.random() < 0.5:
+                    strike = spot * math.exp(rnd.uniform(-3.0, 3.0))
+                rate, expiry = rnd.uniform(-1.0, 1.0), 10 ** rnd.uniform(-6.0, 2.0)
+                vol = 10 ** rnd.uniform(-6.0, 1.0)
+            else:
+                spot, strike = 10 ** rnd.uniform(-300, 300), 10 ** rnd.uniform(-300, 300)
+                rate, expiry = rnd.uniform(-50.0, 50.0), 10 ** rnd.uniform(-9.0, 3.0)
+                vol = 10 ** rnd.uniform(-9.0, 3.0)
+            spec = OptionSpec(spot, strike, rate, expiry, vol)
+            try:
+                if finite_d_pair(spec) is None:
+                    continue
+                price = bs_call_price(spec).price
+            except ValueError:  # the discounted strike overflows
+                continue
+            assert_near_mpmath(spec, price)
+            priced += 1
+            in_logs += underflowing_factor(spec)
+        assert priced > 4_000 and in_logs > 100
+
+    @pytest.mark.parametrize("spec, exact", [
+        # N(d-) = N(-40.6) underflows to 0, and the strike term it multiplies is 0.35 of the spot
+        # term (this priced 9.400111774296401e-214)
+        (OptionSpec(spot=1.2457048250021197e-169, strike=5.401169592438719e+146,
+                    rate=-4.254419911138044, expiry=0.000994055240920448,
+                    volatility=844.1025525077345),
+         "6.1450226486856216901736392848292048920345075574753e-214"),
+        # exp(-rate*expiry) = e^-947 underflows to 0, and the strike term is 0.25 of the spot
+        # term (this priced 2.9016029935805324e-221)
+        (OptionSpec(spot=5.96034602007817e-215, strike=3.2764216790810356e+281,
+                    rate=28.191840746613025, expiry=33.601621243615156,
+                    volatility=2.6583887605044283),
+         "2.1765033899638706502493202412637020883426350966245e-221")],
+        ids=["normal_factor_underflows", "discount_underflows"])
+    def test_a_term_with_an_underflowing_factor_is_kept(self, spec, exact):
+        price = bs_call_price(spec).price
+        assert abs(price - float(exact)) <= 1e-12 * float(exact)
+        assert_near_mpmath(spec, price)
 
     @pytest.mark.parametrize("pricer", ["bs_call_price", "crr_tree_price"])
     @settings(max_examples=1000, deadline=None, derandomize=True, database=None)

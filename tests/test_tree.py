@@ -9,8 +9,8 @@ import pytest
 
 from bslab import tree
 from bslab.pricing import OptionSpec, bs_call_price, intrinsic_forward_value
-from bslab.tree import MAX_STEP_VOL, TreeConfig, binomial_weights, crr_tree_price
-from full_window_tree import full_window_price
+from bslab.tree import MAX_STEP_VOL, TreeConfig, crr_tree_price
+from full_window_tree import binomial_weights, full_window_price
 
 EXAMPLE = OptionSpec(spot=50.0, strike=52.0, rate=0.04, expiry=1.0, volatility=0.15)
 DEEP_OTM = OptionSpec(spot=50.0, strike=500.0, rate=0.04, expiry=1.0, volatility=0.15)
@@ -395,3 +395,23 @@ def test_lattice_prices_keep_their_bits_over_a_seeded_sweep():
     assert len(outcomes) == 2000
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
     assert digest == "81d5cc212029435defbcdfdb2d7f6ae4204cd1fd2692520f0c4539c46a811094"
+
+
+@pytest.mark.parametrize("n, scaled_gap", [(16, 1.11e-4), (256, 0.013535), (4096, 0.013529)])
+def test_the_walk_prices_a_call_on_the_two_point_row_sum(n, scaled_gap):
+    # the two-point row sum of n steps +-s, s = vol*sqrt(t/n), is Binomial(n, 1/2) on the
+    # nodes (2k-n)*s, and shifted by n*log(cosh(s)) they are a martingale. log1p(2*sinh(s/2)^2)
+    # is log(cosh(s)) without the rounding of cosh(s) to 1 + s^2/2, which moves the price by
+    # 1.7e-12 relative at n = 4096
+    vol = 0.15
+    step = vol * math.sqrt(1.0 / n)
+    shift = n * math.log1p(2.0 * math.sinh(0.5 * step) ** 2)
+    ratio = tree.binomial_call_ratio(n, 0.5, step, shift, 1.0, 0.0, 0.0)
+    with mpmath.workdps(40):
+        s, h = mpmath.mpf(step), mpmath.mpf(shift)
+        exact = mpmath.fsum(mpmath.binomial(n, k) * max(mpmath.exp((2 * k - n) * s - h) - 1, 0)
+                            for k in range(n // 2, n + 1)) / mpmath.mpf(2) ** n
+    assert abs(ratio - exact) <= 1e-15 * exact
+    # on the unit at-the-money-forward call the row law's price tends to Black-Scholes like c/n
+    closed = bs_call_price(OptionSpec(1.0, 1.0, 0.0, 1.0, vol)).price
+    assert n * (ratio - closed) == pytest.approx(scaled_gap, rel=1e-3)
